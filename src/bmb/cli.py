@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .copula import VALID_KINDS, CopulaConfig, MixedDataTable, run_copula_chain
+from .copula import CopulaConfig, MixedDataTable, run_copula_chain
 from .diagnostics import (
     ChainSeries,
     autocorrelation,
@@ -72,6 +72,14 @@ EXIT_DATA = 3
 EXIT_SAMPLER = 4
 EXIT_CONSTANT = 5
 
+# Kinds that --kinds may declare.  The copula fit reads every variable by
+# its ranks alone, so a declaration is checked here and changes nothing else.
+KINDS = ("continuous", "ordinal", "binary")
+
+# Environment variables that set the BLAS thread count; outputs can differ
+# in the last bits between thread counts, so the manifest records them.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 @dataclasses.dataclass(frozen=True)
 class RunManifest:
@@ -81,6 +89,7 @@ class RunManifest:
     config: dict
     seed: int
     versions: dict
+    threads: dict
     wall_time: list
     mh_corrected: list
 
@@ -99,6 +108,12 @@ def _versions() -> dict:
         "scipy": scipy.__version__,
         "bmb": __version__,
     }
+
+
+def _threads() -> dict:
+    record = {var: os.environ.get(var) for var in THREAD_VARS}
+    record["cpu_count"] = os.cpu_count()
+    return record
 
 
 def _worker_cap() -> int:
@@ -205,6 +220,7 @@ def _write_fit_outputs(out_dir: Path, command: str, args: argparse.Namespace,
         config=_config_echo(args),
         seed=args.seed,
         versions=_versions(),
+        threads=_threads(),
         wall_time=[out.timings for out in outs],
         mh_corrected=[out.mh_corrected for out in outs],
     )
@@ -267,25 +283,18 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def _table_from_csv(args: argparse.Namespace) -> MixedDataTable:
     data = read_data_csv(args.data)
-    kinds = dict.fromkeys(data.names, "continuous")
     if args.kinds is not None:
-        declared = read_kinds_csv(args.kinds)
-        for name, kind in declared.items():
-            if name not in kinds:
+        for name, kind in read_kinds_csv(args.kinds).items():
+            if name not in data.names:
                 raise DataFormatError(
                     f"{args.kinds}: kind declared for unknown variable {name!r}"
                 )
-            if kind not in VALID_KINDS:
+            if kind not in KINDS:
                 raise DataFormatError(
                     f"{args.kinds}: invalid kind {kind!r} for {name!r}; "
-                    f"expected one of {', '.join(VALID_KINDS)}"
+                    f"expected one of {', '.join(KINDS)}"
                 )
-            kinds[name] = kind
-    return MixedDataTable(
-        values=data.values,
-        names=list(data.names),
-        kinds=tuple(kinds[name] for name in data.names),
-    )
+    return MixedDataTable(values=data.values, names=tuple(data.names))
 
 
 def cmd_fit_copula(args: argparse.Namespace) -> int:
@@ -345,6 +354,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         )
     eff_lag = min(args.max_lag, m - 1)
     out_dir = _out_dir(args)
+    short = 0
 
     import csv as _csv
     with open(out_dir / "diagnostics.csv", "w", encoding="utf-8",
@@ -366,9 +376,17 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                     ess = "NA"
                 try:
                     gz = fmt_float(geweke_z(series))
-                except (SeriesTooShort, ConstantSeries):
+                except SeriesTooShort:
+                    gz = "NA"
+                    short += 1
+                except ConstantSeries:
                     gz = "NA"
                 w.writerow([qname, oname, ess, gz] + acf)
+    if short:
+        # geweke_z's first window is a tenth of the draws and needs 10.
+        logger.warning("geweke_z is NA for %d of %d edges: it needs at least "
+                       "100 kept draws, got %d", short,
+                       len(query_names) * len(other_names), m)
 
     selected = _parse_edge_selection(args.edges, query_names, other_names)
     with open(out_dir / "traces.csv", "w", encoding="utf-8", newline="") as fh:
@@ -470,8 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "through the rank copula")
     _add_chain_flags(p_cop)
     p_cop.add_argument("--kinds", type=Path, default=None,
-                       help="CSV (name,kind) declaring per-variable kinds; "
-                            "undeclared variables default to continuous")
+                       help="CSV (name,kind) declaring per-variable kinds "
+                            "(continuous, ordinal or binary); checked, but "
+                            "the fit reads every variable by its ranks")
     p_cop.add_argument("--inner-sweeps", type=int, default=1,
                        help="blanket sweeps per latent refresh")
     p_cop.add_argument("--prior-df", type=float, default=None,

@@ -1,7 +1,7 @@
 """Gaussian-copula extended-rank-likelihood front end for mixed data.
 
-Observed variables (continuous or integer-coded ordinal, possibly with
-missing cells) are mapped to latent Gaussian rows constrained only by the
+Observed variables (continuous, or integer-coded ordinal or binary, possibly
+with missing cells) are mapped to latent Gaussian rows constrained only by the
 within-variable orderings of the observations. The chain alternates three
 moves per outer iteration: a truncated-normal Gibbs sweep over the latent
 matrix, an inverse-Wishart draw of the full latent covariance (kept in
@@ -15,47 +15,40 @@ under strictly increasing transforms of the observed variables.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 from scipy.special import ndtri
 
-from .errors import (ConstantVariable, DimensionMismatch, InvalidParameter,
-                     UnknownVariable)
-from .linalg import PartitionedCov, SpdMatrix, chol_inverse, cholesky
+from .errors import ConstantVariable, DimensionMismatch, InvalidParameter
+from .linalg import (PartitionedCov, SpdMatrix, chol_inverse, cholesky,
+                     split_query)
 from .rng import RngStream, sample_truncated_normal, _bartlett_lower
 from .sampler import (BlanketState, ChainConfig, ChainOutput, HyperParams,
-                      build_structured_precision, gibbs_sweep, initial_state,
-                      log_posterior_unnorm)
-
-logger = logging.getLogger(__name__)
-
-VALID_KINDS = ("continuous", "ordinal")
+                      _drive, build_structured_precision, gibbs_sweep)
 
 
 @dataclass(frozen=True)
 class MixedDataTable:
-    """Variables-by-observations table with NaN for missing cells."""
+    """Variables-by-observations table with NaN for missing cells.
+
+    Every variable, whatever its kind, enters only through the ranks of
+    its observed values, so the table carries no kinds.
+    """
 
     values: np.ndarray
     names: tuple[str, ...]
-    kinds: tuple[str, ...]
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 1:
             raise InvalidParameter("table must be 2-D with positive shape")
-        if len(self.names) != vals.shape[0] or len(self.kinds) != vals.shape[0]:
-            raise DimensionMismatch("names/kinds must match the variable count")
+        if len(self.names) != vals.shape[0]:
+            raise DimensionMismatch("names must match the variable count")
         if len(set(self.names)) != len(self.names):
             raise InvalidParameter("variable names must be unique")
-        for kind in self.kinds:
-            if kind not in VALID_KINDS:
-                raise InvalidParameter(f"unknown variable kind {kind!r}")
         for i, name in enumerate(self.names):
             observed = vals[i, ~np.isnan(vals[i])]
             if np.unique(observed).size < 2:
@@ -76,7 +69,6 @@ class MixedDataTable:
         return MixedDataTable(
             values=self.values[order],
             names=tuple(self.names[i] for i in order),
-            kinds=tuple(self.kinds[i] for i in order),
         )
 
 
@@ -111,41 +103,19 @@ class RankBounds:
     """Within-variable ordering constraints, stored structurally.
 
     For each variable, observation indices are grouped by observed value in
-    ascending order; a cell's numeric bounds at any point are the max
-    latent over strictly-lower groups and the min over strictly-higher
-    groups, evaluated against the current latent matrix. Ties impose no
-    mutual constraint, and missing cells are unconstrained.
+    ascending order (``layouts``); a cell's numeric bounds at any point are
+    the max latent over strictly-lower groups and the min over
+    strictly-higher groups, evaluated against the current latent matrix.
+    Ties impose no mutual constraint, and ``missing`` cells are
+    unconstrained.
     """
 
-    groups: tuple[tuple[np.ndarray, ...], ...]
     missing: tuple[np.ndarray, ...]
-    shape: tuple[int, int]
     layouts: tuple[_VarLayout, ...]
-
-    def cell_bounds(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Numeric (lo, hi) for every cell against latent matrix x."""
-        r, n = self.shape
-        lo = np.full((r, n), -np.inf)
-        hi = np.full((r, n), np.inf)
-        for i in range(r):
-            running_max = -np.inf
-            for idx in self.groups[i]:
-                lo[i, idx] = running_max
-                running_max = max(running_max, float(x[i, idx].max()))
-            running_min = np.inf
-            for idx in reversed(self.groups[i]):
-                hi[i, idx] = running_min
-                running_min = min(running_min, float(x[i, idx].min()))
-        return lo, hi
-
-    def satisfied_by(self, x: np.ndarray) -> bool:
-        lo, hi = self.cell_bounds(x)
-        return bool(np.all((x > lo) & (x < hi)))
 
 
 def compute_bounds(table: MixedDataTable) -> RankBounds:
     """Group each variable's observations by level, ascending."""
-    groups = []
     missing = []
     layouts = []
     for i in range(table.r):
@@ -155,7 +125,6 @@ def compute_bounds(table: MixedDataTable) -> RankBounds:
         var_groups = tuple(
             np.flatnonzero(obs & (row == level)) for level in levels
         )
-        groups.append(var_groups)
         missing.append(np.flatnonzero(~obs))
         sizes = np.array([g.size for g in var_groups], dtype=np.intp)
         g_count = sizes.size
@@ -182,37 +151,27 @@ def compute_bounds(table: MixedDataTable) -> RankBounds:
             parity_sizes=(psizes[0], psizes[1]),
             parity_starts=(pstarts[0], pstarts[1]),
         ))
-    return RankBounds(
-        groups=tuple(groups), missing=tuple(missing),
-        shape=table.values.shape, layouts=tuple(layouts),
-    )
+    return RankBounds(missing=tuple(missing), layouts=tuple(layouts))
 
 
-@dataclass
-class LatentMatrix:
-    """Current latent Gaussian values, one row per observed variable."""
+def init_latent(bounds: RankBounds, n: int) -> np.ndarray:
+    """Normal scores of the mid-ranks, 0 for missing cells.
 
-    x: np.ndarray
-
-    def copy(self) -> "LatentMatrix":
-        return LatentMatrix(self.x.copy())
-
-
-def init_latent(table: MixedDataTable) -> LatentMatrix:
-    """Start from normal scores of the mid-ranks, 0 for missing cells."""
-    x = np.zeros(table.values.shape)
-    for i in range(table.r):
-        row = table.values[i]
-        obs = ~np.isnan(row)
-        n_i = int(obs.sum())
-        ranks = rankdata(row[obs], method="average")
-        x[i, obs] = ndtri(ranks / (n_i + 1.0))
-    return LatentMatrix(x)
+    Returns one latent row per variable over ``n`` observations.  A level
+    group at sorted positions ``start + 1`` .. ``start + size`` shares the
+    mid-rank ``start + (size + 1) / 2``.
+    """
+    x = np.zeros((len(bounds.layouts), n))
+    for i, layout in enumerate(bounds.layouts):
+        ranks = np.repeat(layout.starts + (layout.sizes + 1) / 2.0,
+                          layout.sizes)
+        x[i, layout.order] = ndtri(ranks / (layout.order.size + 1.0))
+    return x
 
 
-def sample_latent(latent: LatentMatrix, sigma: SpdMatrix, bounds: RankBounds,
-                  rng: RngStream) -> LatentMatrix:
-    """One systematic truncated-normal sweep over all variables, in place.
+def sample_latent(x: np.ndarray, sigma: SpdMatrix, bounds: RankBounds,
+                  rng: RngStream) -> None:
+    """One systematic truncated-normal sweep over the latent rows x, in place.
 
     Row i's cells are conditionally independent given the other rows, with
     common variance 1/omega_ii and means read off the precision matrix.
@@ -223,8 +182,7 @@ def sample_latent(latent: LatentMatrix, sigma: SpdMatrix, bounds: RankBounds,
     therefore redraws a set of cells that are conditionally independent
     given everything current, with bounds re-evaluated in between.
     """
-    x = latent.x
-    r, n = x.shape
+    r = x.shape[0]
     if sigma.dim != r:
         raise DimensionMismatch("sigma dimension must match variable count")
     omega = chol_inverse(sigma.factor())
@@ -262,7 +220,6 @@ def sample_latent(latent: LatentMatrix, sigma: SpdMatrix, bounds: RankBounds,
         delta = x[i] - old_row
         if np.any(delta != 0.0):
             p_mat += np.outer(omega[:, i], delta)
-    return latent
 
 
 @dataclass(frozen=True)
@@ -281,10 +238,6 @@ class CopulaConfig:
         if self.inner_sweeps_per_outer < 1:
             raise InvalidParameter("inner_sweeps_per_outer must be >= 1")
 
-    @property
-    def outer_iters(self) -> int:
-        return self.chain.total_sweeps
-
     def prior_df(self, r: int) -> float:
         df = self.iw_prior_df if self.iw_prior_df is not None else r + 2.0
         if df <= r - 1:
@@ -294,18 +247,16 @@ class CopulaConfig:
         return df
 
 
-def sample_sigma_full(latent: LatentMatrix, cfg: CopulaConfig, rng: RngStream,
-                      rescale: bool = True) -> tuple[SpdMatrix, np.ndarray]:
+def sample_sigma_full(x: np.ndarray, cfg: CopulaConfig,
+                      rng: RngStream) -> tuple[SpdMatrix, np.ndarray]:
     """Conjugate inverse-Wishart draw of the full latent covariance.
 
     Draws from IW(prior_df + n, I + X X') as the inverse of a Wishart
-    variate. With ``rescale`` the draw is returned in correlation form
-    along with the diagonal scale factors, which the caller must also
-    apply to the latent rows (divide row i by factors[i]) to keep the
-    joint state consistent; only ranks are identified, so this is pure
-    gauge fixing.
+    variate, and returns it in correlation form along with the diagonal
+    scale factors, which the caller must also apply to the latent rows
+    (divide row i by factors[i]) to keep the joint state consistent; only
+    ranks are identified, so this is pure gauge fixing.
     """
-    x = latent.x
     r, n = x.shape
     df = cfg.prior_df(r) + n
     scale = np.eye(r) + x @ x.T
@@ -315,8 +266,6 @@ def sample_sigma_full(latent: LatentMatrix, cfg: CopulaConfig, rng: RngStream,
     m = f @ _bartlett_lower(rng, df, r)
     wishart_draw = m @ m.T
     sigma = chol_inverse(cholesky((wishart_draw + wishart_draw.T) / 2.0))
-    if not rescale:
-        return SpdMatrix(sigma), np.ones(r)
     d = np.sqrt(np.diag(sigma))
     corr = sigma / np.outer(d, d)
     np.fill_diagonal(corr, 1.0)
@@ -327,76 +276,44 @@ def run_copula_chain(table: MixedDataTable, query: list[str],
                      hyper: HyperParams | None = None,
                      cfg: CopulaConfig | None = None,
                      rng: RngStream | None = None) -> ChainOutput:
-    """Blanket inference on mixed data through the latent Gaussian layer."""
+    """Blanket inference on mixed data through the latent Gaussian layer.
+
+    Runs the same chain driver as :func:`bmb.sampler.run_chain`; each
+    iteration first refreshes the latent rows and their correlation, then
+    sweeps the blanket against the scatter of the refreshed rows.
+    """
     hyper = hyper if hyper is not None else HyperParams()
     cfg = cfg if cfg is not None else CopulaConfig()
     rng = rng if rng is not None else RngStream(cfg.chain.seed)
 
-    if not query:
-        raise InvalidParameter("need at least one query variable")
-    name_to_idx = {name: i for i, name in enumerate(table.names)}
-    for name in query:
-        if name not in name_to_idx:
-            raise UnknownVariable(f"query variable {name!r} not in table")
-    query_idx = [name_to_idx[name] for name in query]
-    other_idx = [i for i in range(table.r) if i not in set(query_idx)]
-    if not other_idx:
-        raise InvalidParameter("query must not cover every variable")
+    query_idx, other_idx = split_query(table.names, query)
     ordered = table.reordered(query_idx + other_idx)
-
     p = len(query_idx)
-    q = len(other_idx)
-    r, n = ordered.r, ordered.n
     bounds = compute_bounds(ordered)
-    latent = init_latent(ordered)
-    sigma = SpdMatrix(np.eye(r))
-    state = initial_state(p, q)
-    chain_cfg = cfg.chain
+    x = init_latent(bounds, ordered.n)
+    sigma = SpdMatrix(np.eye(ordered.r))
 
-    keep = chain_cfg.samples
-    w11_draws = np.empty((keep, p, p))
-    w12_draws = np.empty((keep, p, q))
-    log_post = np.empty(keep)
-    timings: dict[str, float] = {}
-    mh_count = 0
-    kept = 0
-    total = cfg.outer_iters
-    t_start = time.perf_counter()
-    for outer in range(1, total + 1):
+    def step(state: BlanketState, timings: dict) -> tuple[int, PartitionedCov]:
+        nonlocal sigma
         t0 = time.perf_counter()
-        latent = sample_latent(latent, sigma, bounds, rng)
+        sample_latent(x, sigma, bounds, rng)
         t1 = time.perf_counter()
-        sigma, d = sample_sigma_full(latent, cfg, rng)
-        latent.x /= d[:, None]
+        sigma, d = sample_sigma_full(x, cfg, rng)
+        np.divide(x, d[:, None], out=x)
         t2 = time.perf_counter()
         timings["latent"] = timings.get("latent", 0.0) + (t1 - t0)
         timings["sigma"] = timings.get("sigma", 0.0) + (t2 - t1)
 
-        x = latent.x
         s_full = x @ x.T
         cov = PartitionedCov(
             s11=s_full[:p, :p], s12=s_full[:p, p:], s22=s_full[p:, p:],
-            n=n, query_names=tuple(ordered.names[:p]),
+            n=ordered.n, query_names=tuple(ordered.names[:p]),
             other_names=tuple(ordered.names[p:]),
         )
         prec = build_structured_precision(cov.s22)
+        mh = 0
         for _ in range(cfg.inner_sweeps_per_outer):
-            mh_count += gibbs_sweep(rng, state, cov, prec, hyper, chain_cfg,
-                                    timings)
-        after_burn = outer - chain_cfg.burn_in
-        if after_burn > 0 and after_burn % chain_cfg.thin == 0:
-            w11_draws[kept] = state.w11
-            w12_draws[kept] = state.w12
-            log_post[kept] = log_posterior_unnorm(state, cov, hyper.gamma)
-            kept += 1
-        if outer % 100 == 0:
-            logger.info("outer %d/%d (kept %d, mh %d)", outer, total, kept,
-                        mh_count)
-    timings["total"] = time.perf_counter() - t_start
-    return ChainOutput(
-        w11=w11_draws, w12=w12_draws, log_post=log_post,
-        mh_corrected=mh_count, timings=timings,
-        query_names=tuple(ordered.names[:p]),
-        other_names=tuple(ordered.names[p:]),
-        hyper=hyper, config=chain_cfg,
-    )
+            mh += gibbs_sweep(rng, state, cov, prec, hyper, cfg.chain, timings)
+        return mh, cov
+
+    return _drive(step, p, len(other_idx), hyper.gamma, cfg.chain, "outer")

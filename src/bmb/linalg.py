@@ -9,6 +9,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,6 +219,37 @@ class PartitionedCov:
         return np.vstack([top, bottom])
 
 
+def split_query(names: Sequence[str],
+                query: Sequence[str]) -> tuple[list[int], list[int]]:
+    """Row indices of the query variables, in query order, and of the rest.
+
+    Raises
+    ------
+    EmptyQuery
+        If the query is empty.
+    UnknownVariable
+        If a query name repeats or is not among ``names``.
+    QueryIsEverything
+        If no variable is left outside the query.
+    """
+    if len(query) == 0:
+        raise EmptyQuery("query set is empty")
+    if len(set(query)) != len(query):
+        raise UnknownVariable("query names must be unique")
+    index = {name: i for i, name in enumerate(names)}
+    missing = [name for name in query if name not in index]
+    if missing:
+        raise UnknownVariable(f"unknown query variables: {missing}")
+    if len(query) == len(names):
+        raise QueryIsEverything(
+            "query covers every variable; nothing is left to blanket against"
+        )
+    query_idx = [index[name] for name in query]
+    chosen = set(query_idx)
+    other_idx = [i for i in range(len(names)) if i not in chosen]
+    return query_idx, other_idx
+
+
 def partition_scatter(
     x: DataMatrix, query: list[str], center: bool = True
 ) -> PartitionedCov:
@@ -238,20 +270,7 @@ def partition_scatter(
     PartitionedCov
         Blocks of ``X @ X.T`` after reordering (and optional centering).
     """
-    if len(query) == 0:
-        raise EmptyQuery("query set is empty")
-    if len(set(query)) != len(query):
-        raise UnknownVariable("query names must be unique")
-    index = {name: i for i, name in enumerate(x.names)}
-    missing = [name for name in query if name not in index]
-    if missing:
-        raise UnknownVariable(f"unknown query variables: {missing}")
-    if len(query) == x.n_vars:
-        raise QueryIsEverything(
-            "query covers every variable; nothing is left to blanket against"
-        )
-    query_idx = [index[name] for name in query]
-    other_idx = [i for i in range(x.n_vars) if i not in set(query_idx)]
+    query_idx, other_idx = split_query(x.names, query)
     order = query_idx + other_idx
     vals = x.values[order, :]
     n = x.n_obs

@@ -6,8 +6,7 @@ density
 
     p(M; lam, A, B)  propto  det(M)^(-lam-1) * exp tr(-(A M + B M^-1) / 2)
 
-on the symmetric positive definite cone, and its scalar specialization for
-``sample_gig``.
+on the symmetric positive definite cone.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr, ndtri
-from scipy.stats import geninvgauss
 
 from .errors import (
     EmptyInterval,
@@ -29,7 +27,6 @@ from .errors import (
 from .linalg import cholesky, chol_solve
 
 _TAIL_Z = 4.0  # standardized bound beyond which tail strategies kick in
-_CLAMP = 1e-12
 
 
 class RngStream:
@@ -117,69 +114,6 @@ def sample_inverse_gaussian(rng: RngStream, mu, shape):
     if x.ndim == 0:
         return float(x)
     return x
-
-
-@dataclass(frozen=True)
-class GigParams:
-    """Scalar case of the MGIG density: x^(-lam-1) exp(-(a x + b / x) / 2).
-
-    ``a`` and ``b`` must be positive; values below 1e-12 are clamped up to
-    1e-12, zero or negative values are rejected.
-    """
-
-    lam: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise InvalidParameter("GIG needs a > 0 and b > 0")
-        object.__setattr__(self, "a", max(float(self.a), _CLAMP))
-        object.__setattr__(self, "b", max(float(self.b), _CLAMP))
-        object.__setattr__(self, "lam", float(self.lam))
-
-
-def sample_gig(rng: RngStream, params: GigParams, size: int | None = None):
-    """Scalar generalized inverse Gaussian draws.
-
-    Used as the independent dim-1 oracle for the matrix sampler, so this
-    deliberately routes through scipy's generator rather than the
-    continued-fraction construction.
-    """
-    order = -params.lam  # scipy's p in x^(p-1)
-    mixed = float(np.sqrt(params.a * params.b))
-    scale = float(np.sqrt(params.b / params.a))
-    n = 1 if size is None else int(size)
-    if mixed >= 1e-8:
-        z = geninvgauss.rvs(order, mixed, size=n, random_state=rng.gen)
-        out = scale * np.asarray(z, dtype=float)
-    else:
-        out = _gig_rejection(rng, order, params.a, params.b, n)
-    if size is None:
-        return float(out[0])
-    return out
-
-
-def _gig_rejection(rng: RngStream, order: float, a: float, b: float, n: int):
-    """Gamma-proposal rejection for the near-degenerate small a*b regime."""
-    if order == 0:
-        raise InvalidParameter("order 0 with vanishing a*b is not samplable here")
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = (n - filled) * 2 + 8
-        if order > 0:
-            x = rng.gen.gamma(order, 2.0 / a, size=m)
-            acc = rng.gen.random(m) <= np.exp(-b / (2.0 * x))
-        else:
-            inv = rng.gen.gamma(-order, 2.0 / b, size=m)
-            x = 1.0 / inv
-            acc = rng.gen.random(m) <= np.exp(-a * x / 2.0)
-        good = x[acc]
-        take = min(good.size, n - filled)
-        out[filled : filled + take] = good[:take]
-        filled += take
-    return out
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -165,17 +166,6 @@ class StructuredChol:
         out = solve_triangular(self.l_k, blocks.T, lower=True, trans="T").T
         return out.reshape(-1)
 
-    def densify(self) -> np.ndarray:
-        """Materialize L = (I (x) L_K) L_M for testing."""
-        return np.kron(np.eye(self.p), self.l_k) @ self.l_m
-
-    def logdet(self) -> float:
-        """log det C = 2 (p log det L_K + log det L_M)."""
-        return 2.0 * (
-            self.p * float(np.sum(np.log(np.diag(self.l_k))))
-            + float(np.sum(np.log(np.diag(self.l_m))))
-        )
-
 
 def structured_chol(prec: StructuredPrecision, w11: np.ndarray,
                     scales: np.ndarray) -> StructuredChol:
@@ -302,25 +292,24 @@ class ChainOutput:
     timings: dict[str, float]
     query_names: tuple[str, ...]
     other_names: tuple[str, ...]
-    hyper: HyperParams
-    config: ChainConfig
 
     @property
     def n_samples(self) -> int:
         return self.w11.shape[0]
 
 
-def run_chain(cov: PartitionedCov, hyper: HyperParams | None = None,
-              config: ChainConfig | None = None,
-              rng: RngStream | None = None) -> ChainOutput:
-    """Run one Gibbs chain against a partitioned scatter matrix."""
-    hyper = hyper if hyper is not None else HyperParams()
-    config = config if config is not None else ChainConfig()
-    rng = rng if rng is not None else RngStream(config.seed)
-    p, q = cov.p, cov.q
-    prec = build_structured_precision(cov.s22)
-    state = initial_state(p, q)
+def _drive(step: Callable[[BlanketState, dict], tuple[int, PartitionedCov]],
+           p: int, q: int, gamma: float, config: ChainConfig,
+           unit: str) -> ChainOutput:
+    """Iterate ``step`` over the schedule in ``config`` and keep its draws.
 
+    ``step(state, timings)`` is one iteration: it advances the state in
+    place, adds its phase times to ``timings``, and returns the number of
+    MH-corrected W11 draws and the scatter the state was last swept
+    against, which scores a kept draw's log posterior.  ``unit`` names an
+    iteration in the progress log.
+    """
+    state = initial_state(p, q)
     keep = config.samples
     w11_draws = np.empty((keep, p, p))
     w12_draws = np.empty((keep, p, q))
@@ -330,21 +319,36 @@ def run_chain(cov: PartitionedCov, hyper: HyperParams | None = None,
     kept = 0
     total = config.total_sweeps
     t_start = time.perf_counter()
-    for sweep in range(1, total + 1):
-        mh_count += gibbs_sweep(rng, state, cov, prec, hyper, config, timings)
-        after_burn = sweep - config.burn_in
+    for it in range(1, total + 1):
+        mh, cov = step(state, timings)
+        mh_count += mh
+        after_burn = it - config.burn_in
         if after_burn > 0 and after_burn % config.thin == 0:
             w11_draws[kept] = state.w11
             w12_draws[kept] = state.w12
-            log_post[kept] = log_posterior_unnorm(state, cov, hyper.gamma)
+            log_post[kept] = log_posterior_unnorm(state, cov, gamma)
             kept += 1
-        if sweep % 100 == 0:
-            logger.info("sweep %d/%d (kept %d, mh %d)", sweep, total, kept,
+        if it % 100 == 0:
+            logger.info("%s %d/%d (kept %d, mh %d)", unit, it, total, kept,
                         mh_count)
     timings["total"] = time.perf_counter() - t_start
     return ChainOutput(
         w11=w11_draws, w12=w12_draws, log_post=log_post,
         mh_corrected=mh_count, timings=timings,
         query_names=tuple(cov.query_names), other_names=tuple(cov.other_names),
-        hyper=hyper, config=config,
     )
+
+
+def run_chain(cov: PartitionedCov, hyper: HyperParams | None = None,
+              config: ChainConfig | None = None,
+              rng: RngStream | None = None) -> ChainOutput:
+    """Run one Gibbs chain against a partitioned scatter matrix."""
+    hyper = hyper if hyper is not None else HyperParams()
+    config = config if config is not None else ChainConfig()
+    rng = rng if rng is not None else RngStream(config.seed)
+    prec = build_structured_precision(cov.s22)
+
+    def step(state: BlanketState, timings: dict) -> tuple[int, PartitionedCov]:
+        return gibbs_sweep(rng, state, cov, prec, hyper, config, timings), cov
+
+    return _drive(step, cov.p, cov.q, hyper.gamma, config, "sweep")

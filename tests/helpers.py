@@ -36,3 +36,41 @@ def quadrature_cdf(log_density, lo, hi, m=200001):
         return np.interp(x, grid, cum, left=0.0, right=1.0)
 
     return cdf
+
+
+def dense_factor(factor):
+    """Materialize the structured factor L = (I (x) L_K) L_M."""
+    return np.kron(np.eye(factor.p), factor.l_k) @ factor.l_m
+
+
+def factor_logdet(factor):
+    """log det C = 2 (p log det L_K + log det L_M) of a structured factor."""
+    return 2.0 * (factor.p * float(np.sum(np.log(np.diag(factor.l_k))))
+                  + float(np.sum(np.log(np.diag(factor.l_m)))))
+
+
+def rank_groups(layout):
+    """A variable's observed cell indices, one array per level, ascending."""
+    return np.split(layout.order, layout.starts[1:])
+
+
+def cell_bounds(bounds, x):
+    """Numeric (lo, hi) of every cell of latent rows x, level by level."""
+    lo = np.full(x.shape, -np.inf)
+    hi = np.full(x.shape, np.inf)
+    for i, layout in enumerate(bounds.layouts):
+        groups = rank_groups(layout)
+        running_max = -np.inf
+        for idx in groups:
+            lo[i, idx] = running_max
+            running_max = max(running_max, float(x[i, idx].max()))
+        running_min = np.inf
+        for idx in reversed(groups):
+            hi[i, idx] = running_min
+            running_min = min(running_min, float(x[i, idx].min()))
+    return lo, hi
+
+
+def satisfied_by(bounds, x):
+    lo, hi = cell_bounds(bounds, x)
+    return bool(np.all((x > lo) & (x < hi)))

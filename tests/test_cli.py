@@ -1,4 +1,8 @@
 import json
+import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +54,10 @@ def test_fit_pipeline_and_edge_row_count(sim_dir, tmp_path):
     assert manifest["command"] == "fit"
     assert manifest["mh_corrected"] == [0]
     assert "w11" in manifest["wall_time"][0]
+    assert set(manifest["threads"]) == {*cli.THREAD_VARS, "cpu_count"}
+    assert manifest["threads"]["cpu_count"] == os.cpu_count()
+    for var in cli.THREAD_VARS:
+        assert manifest["threads"][var] == os.environ.get(var)
     # manifest round-trips through its dataclass
     again = cli.RunManifest.from_dict(manifest)
     assert again.to_dict() == manifest
@@ -142,15 +150,24 @@ def test_exit_code_sampler_failure(sim_dir, tmp_path, monkeypatch):
                 "--out-dir", str(tmp_path / "o")) == 4
 
 
-def test_diagnose_outputs_and_lag_count(sim_dir, tmp_path):
+def test_diagnose_outputs_and_lag_count(sim_dir, tmp_path, caplog):
     fit = tmp_path / "fit"
     assert _run("fit", "--data", str(sim_dir / "data.csv"), "--query", "v0",
                 "--gamma", "5", "--burn-in", "5", "--samples", "60",
                 "--seed", "2", "--out-dir", str(fit)) == 0
     diag = tmp_path / "diag"
-    assert _run("diagnose", "--data", str(fit / "edges.csv"),
-                "--max-lag", "12", "--edges", "v0:v2",
-                "--out-dir", str(diag)) == 0
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="bmb.cli"):
+        assert _run("diagnose", "--data", str(fit / "edges.csv"),
+                    "--max-lag", "12", "--edges", "v0:v2",
+                    "--out-dir", str(diag)) == 0
+    # 60 draws are too few for geweke_z: one warning covers all 7 edges
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelno == logging.WARNING]
+    assert warned == ["geweke_z is NA for 7 of 7 edges: it needs at least "
+                      "100 kept draws, got 60"]
+    rows = (diag / "diagnostics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["NA"] * 7
     header = (diag / "diagnostics.csv").read_text().splitlines()[0].split(",")
     assert header[:4] == ["query", "other", "ess", "geweke_z"]
     assert header[4:] == [f"acf_lag{k}" for k in range(1, 13)]
@@ -234,3 +251,38 @@ def test_bad_bmb_threads_is_tolerated(sim_dir, tmp_path, monkeypatch):
     assert _run("fit", "--data", str(sim_dir / "data.csv"), "--query", "v0",
                 "--gamma", "5", "--burn-in", "2", "--samples", "4",
                 "--chains", "2", "--out-dir", str(tmp_path / "o")) == 0
+
+
+def _kinds_fit(tmp_path, kind):
+    data = tmp_path / "mixed.csv"
+    g = np.random.default_rng(6)
+    rows = ["a,b,c"] + [f"{int(u > 0)},{u + v},{v}"
+                        for u, v in g.standard_normal((40, 2)).tolist()]
+    data.write_text("\n".join(rows) + "\n")
+    kinds = tmp_path / f"kinds_{kind}.csv"
+    kinds.write_text(f"name,kind\na,{kind}\n")
+    out = tmp_path / kind
+    rc = _run("fit-copula", "--data", str(data), "--kinds", str(kinds),
+              "--query", "b", "--gamma", "5", "--burn-in", "2",
+              "--samples", "4", "--seed", "3", "--out-dir", str(out))
+    return rc, out
+
+
+def test_kinds_binary_accepted_and_unused_by_the_fit(tmp_path):
+    rc, binary = _kinds_fit(tmp_path, "binary")
+    assert rc == 0
+    rc, ordinal = _kinds_fit(tmp_path, "ordinal")
+    assert rc == 0
+    assert (binary / "edges.csv").read_bytes() == (ordinal / "edges.csv").read_bytes()
+    rc, _ = _kinds_fit(tmp_path, "categorical")
+    assert rc == 3
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs more to import than the rest of bmb together.
+    code = "import sys, bmb.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ,
+                                              PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

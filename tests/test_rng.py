@@ -6,8 +6,6 @@ from bmb.errors import EmptyInterval, InvalidDegreesOfFreedom, InvalidParameter
 from bmb.rng import (
     RngStream,
     _bartlett_block,
-    sample_gig,
-    GigParams,
     sample_inverse_gaussian,
     sample_truncated_normal,
     sample_wishart,
@@ -106,19 +104,3 @@ def test_truncated_normal_input_validation(rng):
         sample_truncated_normal(rng, 0.0, 0.0, -1.0, 1.0)
     with pytest.raises(EmptyInterval):
         sample_truncated_normal(rng, 0.0, 1.0, 2.0, 2.0)
-
-
-def test_gig_matches_scipy_parameterization(rng):
-    # mean of GIG in our convention against scipy.geninvgauss directly
-    params = GigParams(lam=-2.5, a=3.0, b=1.2)
-    x = sample_gig(rng, params, size=40000)
-    order = -params.lam
-    scale = np.sqrt(params.b / params.a)
-    ref = stats.geninvgauss(order, np.sqrt(params.a * params.b), scale=scale)
-    assert x.mean() == pytest.approx(ref.mean(), rel=0.03)
-    assert sample_gig(RngStream(5), params) == sample_gig(RngStream(5), params)
-
-
-def test_gig_rejects_nonpositive():
-    with pytest.raises(InvalidParameter):
-        GigParams(lam=1.0, a=0.0, b=1.0)
