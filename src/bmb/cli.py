@@ -294,6 +294,14 @@ def _table_from_csv(args: argparse.Namespace) -> MixedDataTable:
                     f"{args.kinds}: invalid kind {kind!r} for {name!r}; "
                     f"expected one of {', '.join(KINDS)}"
                 )
+            if kind == "binary":
+                row = data.values[data.names.index(name)]
+                levels = np.unique(row[~np.isnan(row)]).size
+                if levels > 2:
+                    raise DataFormatError(
+                        f"{args.kinds}: {name!r} is declared binary but has "
+                        f"{levels} distinct observed values"
+                    )
     return MixedDataTable(values=data.values, names=tuple(data.names))
 
 

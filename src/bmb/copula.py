@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConstantVariable, DimensionMismatch, InvalidParameter
 from .linalg import (PartitionedCov, SpdMatrix, chol_inverse, cholesky,
@@ -161,6 +160,8 @@ def init_latent(bounds: RankBounds, n: int) -> np.ndarray:
     group at sorted positions ``start + 1`` .. ``start + size`` shares the
     mid-rank ``start + (size + 1) / 2``.
     """
+    from scipy.special import ndtri  # only fit-copula loads scipy.special
+
     x = np.zeros((len(bounds.layouts), n))
     for i, layout in enumerate(bounds.layouts):
         ranks = np.repeat(layout.starts + (layout.sizes + 1) / 2.0,
@@ -305,12 +306,14 @@ def run_copula_chain(table: MixedDataTable, query: list[str],
         timings["sigma"] = timings.get("sigma", 0.0) + (t2 - t1)
 
         s_full = x @ x.T
+        # x2 is a view of the latent rows: this iteration's sweeps read it
+        # before the next latent sweep rewrites x.
         cov = PartitionedCov(
             s11=s_full[:p, :p], s12=s_full[:p, p:], s22=s_full[p:, p:],
             n=ordered.n, query_names=tuple(ordered.names[:p]),
-            other_names=tuple(ordered.names[p:]),
+            other_names=tuple(ordered.names[p:]), x2=x[p:],
         )
-        prec = build_structured_precision(cov.s22)
+        prec = build_structured_precision(cov.s22, cov.x2, p)
         mh = 0
         for _ in range(cfg.inner_sweeps_per_outer):
             mh += gibbs_sweep(rng, state, cov, prec, hyper, cfg.chain, timings)

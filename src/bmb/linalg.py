@@ -23,32 +23,49 @@ from .errors import (
     UnknownVariable,
 )
 
-# Relative pivot floor: a Cholesky pivot at or below this fraction of the
-# largest diagonal entry is treated as numerically indefinite.
+# Relative pivot floor: a Cholesky pivot at or below this fraction of its
+# own diagonal entry is treated as numerically indefinite.  Comparing with
+# the pivot's own entry, not the largest one, accepts a diagonally dominant
+# matrix whose diagonal spans many orders of magnitude.
 PIVOT_RTOL = 1e-12
 
 
 def _chol_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with a pivot-indexed failure report."""
+    """Lower Cholesky factor with a pivot-indexed failure report.
+
+    ``a`` is one square matrix, or a stack of them along the first axis,
+    which is factored block by block.  Only the lower triangle is read.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=0)
-    if info > 0:
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite (pivot {info - 1} failed)",
-            pivot_index=info - 1,
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(
+            f"expected a square matrix or a stack of them, got shape {a.shape}"
         )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    floor = PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
-    pivots = np.diag(c) ** 2
-    small = np.flatnonzero(pivots <= floor)
+    if a.ndim == 3:
+        try:
+            c = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(
+                "a matrix of the stack is not positive definite") from exc
+    else:
+        c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=0)
+        if info > 0:
+            raise NotPositiveDefinite(
+                f"matrix is not positive definite (pivot {info - 1} failed)",
+                pivot_index=info - 1,
+            )
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    floor = PIVOT_RTOL * np.maximum(np.diagonal(a, axis1=-2, axis2=-1), 0.0)
+    pivots = np.diagonal(c, axis1=-2, axis2=-1) ** 2
+    small = np.argwhere(pivots <= floor)
     if small.size:
-        j = int(small[0])
+        at = tuple(int(i) for i in small[0])
+        j = at[-1]
+        where = f"pivot {j}" if a.ndim == 2 else f"pivot {j} of matrix {at[0]}"
         raise NotPositiveDefinite(
-            f"Cholesky pivot {j} is {pivots[j]:.3e}, at or below the "
-            f"{PIVOT_RTOL:g} * max-diagonal floor {floor:.3e}",
+            f"Cholesky {where} is {pivots[at]:.3e}, at or below the "
+            f"{PIVOT_RTOL:g} * diagonal-entry floor {floor[at]:.3e}",
             pivot_index=j,
         )
     return c
@@ -72,7 +89,7 @@ class SpdMatrix:
     The input is symmetrized as ``(a + a.T) / 2`` before factorization, so
     callers may pass matrices with roundoff-level asymmetry.  Construction
     fails with :class:`NotPositiveDefinite` if any Cholesky pivot is at or
-    below ``1e-12`` times the largest diagonal entry.
+    below ``1e-12`` times its own diagonal entry.
     """
 
     __slots__ = ("values", "chol_lower")
@@ -174,6 +191,9 @@ class PartitionedCov:
     ``n`` is the effective number of observations (reduced by one when the
     scatter was computed from centered data).  The reassembled matrix must be
     symmetric positive semi-definite; blocks may be singular when n is small.
+    ``x2``, when given, holds the other variables' rows (other-by-columns,
+    centered when the scatter was) with ``s22 == x2 @ x2.T``; the W12 update
+    uses it when there are fewer columns than other variables.
     """
 
     s11: np.ndarray
@@ -182,6 +202,7 @@ class PartitionedCov:
     n: int
     query_names: list[str] = field(default_factory=list)
     other_names: list[str] = field(default_factory=list)
+    x2: np.ndarray | None = None
 
     def __post_init__(self):
         self.s11 = np.asarray(self.s11, dtype=float)
@@ -195,6 +216,9 @@ class PartitionedCov:
             )
         if self.n < 0:
             raise DimensionMismatch("effective observation count must be >= 0")
+        if self.x2 is not None and (self.x2.ndim != 2 or self.x2.shape[0] != q):
+            raise DimensionMismatch(
+                f"x2 has shape {self.x2.shape}, expected {q} rows")
         full = self.assemble()
         if not np.all(np.isfinite(full)):
             raise DimensionMismatch("scatter blocks contain non-finite entries")
@@ -268,7 +292,8 @@ def partition_scatter(
     Returns
     -------
     PartitionedCov
-        Blocks of ``X @ X.T`` after reordering (and optional centering).
+        Blocks of ``X @ X.T`` after reordering (and optional centering),
+        with the other variables' rows as ``x2``.
     """
     query_idx, other_idx = split_query(x.names, query)
     order = query_idx + other_idx
@@ -287,4 +312,5 @@ def partition_scatter(
         n=n,
         query_names=[x.names[i] for i in query_idx],
         other_names=[x.names[i] for i in other_idx],
+        x2=vals[p:],
     )

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     EmptyInterval,
@@ -426,6 +425,10 @@ def sample_truncated_normal(rng: RngStream, mu, sigma, lo, hi):
 
 def _truncnorm_inverse_cdf(rng: RngStream, a: np.ndarray, b: np.ndarray):
     """Inverse-CDF draws on standardized intervals with a <= ... (b > 0)."""
+    # Imported here so that commands other than fit-copula never load
+    # scipy.special.
+    from scipy.special import ndtr, ndtri
+
     z = np.empty(a.shape)
     u = rng.gen.random(a.shape)
     right = a >= 0  # interval on one side: use upper-tail coordinates

@@ -5,11 +5,20 @@ cross block ``W12`` (p x q), and the per-entry shrinkage scales ``T`` is
 explored with a three-phase sweep:
 
 1. scales   -- conjugate inverse-Gaussian update, one draw per entry,
-2. ``W12``  -- a joint Gaussian draw of all p*q entries through a
-   structured Cholesky factor that reuses the factor of ``S22 + I``
-   computed once per chain,
+2. ``W12``  -- a joint Gaussian draw of all p*q entries, by one of two
+   exact methods chosen once per chain (see below),
 3. ``W11``  -- a matrix generalized-inverse-Gaussian draw via the random
    continued fraction in :func:`bmb.rng.sample_mgig`.
+
+The conditional precision of ``vec(W12)`` is C = inv(W11) (x) K + D with
+K = S22 + I and D diagonal.  The dense method factors C through a
+structured Cholesky factor (:func:`structured_chol`) that reuses the
+factor of K computed once per chain; it costs about (pq)^3/3 + 2pq^3 flop
+per draw.  When the scatter comes from n < q columns, S22 = X2 X2', so C
+is a block-diagonal matrix plus a rank-pn term, and the low-rank method
+draws by perturbation and solves by Woodbury for about p^2 q n^2 +
+(pn)^3/3 flop, linear in q.  :func:`build_structured_precision` picks the
+cheaper method by these counts.
 
 The remaining block of the full precision matrix (the Schur complement of
 ``W11``) never has to be sampled: it is independent of the blanket blocks
@@ -104,7 +113,7 @@ def initial_state(p: int, q: int) -> BlanketState:
 
 @dataclass(frozen=True)
 class StructuredPrecision:
-    """Per-chain constants for the W12 update.
+    """Per-chain constants for the dense W12 update.
 
     ``k`` is ``S22 + I`` and never changes within a chain, so its Cholesky
     factor ``l_k`` and that factor's inverse are computed once here and
@@ -119,12 +128,52 @@ class StructuredPrecision:
     def q(self) -> int:
         return self.k.shape[0]
 
+    def quad(self, w12: np.ndarray) -> np.ndarray:
+        """``W12 K W21``."""
+        return w12 @ self.k @ w12.T
 
-def build_structured_precision(s22: np.ndarray) -> StructuredPrecision:
+
+@dataclass(frozen=True)
+class LowRankPrecision:
+    """Per-chain constants for the low-rank W12 update.
+
+    ``x2`` is the q x n factor with ``S22 = x2 @ x2.T``, so that
+    ``K = I + x2 @ x2.T``; nothing q x q is formed.
+    """
+
+    x2: np.ndarray
+
+    @property
+    def q(self) -> int:
+        return self.x2.shape[0]
+
+    def quad(self, w12: np.ndarray) -> np.ndarray:
+        """``W12 K W21``, in O(pqn)."""
+        t = w12 @ self.x2
+        return w12 @ w12.T + t @ t.T
+
+
+def build_structured_precision(
+        s22: np.ndarray, x2: np.ndarray | None = None,
+        p: int = 1) -> StructuredPrecision | LowRankPrecision:
+    """Per-chain constants for the W12 update of p query variables.
+
+    With ``x2`` (q x n, ``s22 == x2 @ x2.T``) and n < q, the low-rank
+    method is used when its flop count, p^2 q n^2 + (pn)^3/3, is below the
+    dense method's, (pq)^3/3 + 2pq^3.  Otherwise the dense constants are
+    built from ``s22``.
+    """
     k = np.asarray(s22, dtype=float)
-    k = (k + k.T) / 2.0 + np.eye(k.shape[0])
+    q = k.shape[0]
+    if x2 is not None:
+        n = x2.shape[1]
+        dense = (p * q) ** 3 / 3.0 + 2.0 * p * q ** 3
+        low_rank = p * p * q * n * n + (p * n) ** 3 / 3.0
+        if n < q and low_rank < dense:
+            return LowRankPrecision(x2=np.asarray(x2, dtype=float))
+    k = (k + k.T) / 2.0 + np.eye(q)
     l_k = _chol_lower(k)
-    l_k_inv = solve_triangular(l_k, np.eye(k.shape[0]), lower=True)
+    l_k_inv = solve_triangular(l_k, np.eye(q), lower=True)
     return StructuredPrecision(k=k, l_k=l_k, l_k_inv=l_k_inv)
 
 
@@ -193,13 +242,17 @@ def sample_scales(rng: RngStream, w12: np.ndarray, gamma: float) -> np.ndarray:
     return 1.0 / np.asarray(inv, dtype=float)
 
 
-def sample_w12(rng: RngStream, prec: StructuredPrecision, w11: np.ndarray,
-               scales: np.ndarray, s12: np.ndarray) -> np.ndarray:
+def sample_w12(rng: RngStream, prec: StructuredPrecision | LowRankPrecision,
+               w11: np.ndarray, scales: np.ndarray,
+               s12: np.ndarray) -> np.ndarray:
     """Joint Gaussian draw of the cross block.
 
     vec(W12, row-major) has precision C (see :class:`StructuredChol`) and
-    mean -inv(C) vec(S12, row-major).
+    mean -inv(C) vec(S12, row-major).  The dense method draws p*q standard
+    normals, the low-rank method p*q + p*n.
     """
+    if isinstance(prec, LowRankPrecision):
+        return _sample_w12_low_rank(rng, prec.x2, w11, scales, s12)
     p, q = s12.shape
     factor = structured_chol(prec, w11, scales)
     v = s12.reshape(-1)
@@ -209,8 +262,61 @@ def sample_w12(rng: RngStream, prec: StructuredPrecision, w11: np.ndarray,
     return draw.reshape(p, q)
 
 
-def sample_w11(rng: RngStream, s11: np.ndarray, prec: StructuredPrecision,
-               w12: np.ndarray, n: int, tol: float = 1e-9,
+def _sample_w12_low_rank(rng: RngStream, x2: np.ndarray, w11: np.ndarray,
+                         scales: np.ndarray, s12: np.ndarray) -> np.ndarray:
+    """The W12 draw of :func:`sample_w12` for K = I + x2 x2', x2 q x n.
+
+    With U = inv(W11) = L_U L_U', the precision splits as C = A + F F',
+    where A = U (x) I + D is block diagonal in q blocks
+    A_j = U + diag(1 / scales[:, j]) (one per column of W12), and
+    F = L_U (x) x2.  The perturbation eta = A^(1/2) e1 + F e2 has
+    covariance C (Papandreou & Yuille 2010), so inv(C) (eta - vec S12) is
+    an exact draw.  The solve is by Woodbury (Bhattacharya, Chakraborty &
+    Mallick 2016) through the pn x pn capacitance matrix
+    I + F' inv(A) F = I + sum_j G_j (x) x_j x_j', G_j = L_U' inv(A_j) L_U,
+    whose (k, l) block is x2' diag(G[:, k, l]) x2.
+    """
+    p, q = s12.shape
+    n = x2.shape[1]
+    u = chol_inverse(cholesky(w11))
+    l_u = _chol_lower(u)
+    a = np.repeat(u[None], q, axis=0)
+    diag = np.arange(p)
+    a[:, diag, diag] += 1.0 / scales.T
+    r_inv = np.linalg.inv(_chol_lower(a))
+    r_inv_t = np.swapaxes(r_inv, 1, 2)
+    a_inv = r_inv_t @ r_inv
+    v = r_inv @ l_u
+    g = np.swapaxes(v, 1, 2) @ v
+
+    cap = np.empty((p * n, p * n))
+    for k in range(p):
+        for l in range(k + 1):
+            block = (x2.T * g[:, k, l]) @ x2
+            cap[k * n:(k + 1) * n, l * n:(l + 1) * n] = block
+            cap[l * n:(l + 1) * n, k * n:(k + 1) * n] = block
+    cap[np.arange(p * n), np.arange(p * n)] += 1.0
+    l_cap = _chol_lower(cap)
+
+    z = rng.gen.standard_normal(p * q + p * n)
+    e1 = z[:p * q].reshape(q, p)
+    e2 = z[p * q:].reshape(p, n)
+    # y = inv(A) (eta - vec S12), with inv(A) A^(1/2) e1 = R_j^-T e1_j per
+    # block.  Arrays of shape (q, p) hold one block of W12 (a column) per row.
+    y = _per_block(r_inv_t, e1) + _per_block(a_inv, (l_u @ e2 @ x2.T - s12).T)
+    w = solve_triangular(l_cap, (l_u.T @ y.T @ x2).reshape(-1), lower=True)
+    w = solve_triangular(l_cap, w, lower=True, trans="T").reshape(p, n)
+    return (y - _per_block(a_inv, (l_u @ w @ x2.T).T)).T
+
+
+def _per_block(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row j of the result is ``m[j] @ v[j]``."""
+    return (m @ v[:, :, None])[:, :, 0]
+
+
+def sample_w11(rng: RngStream, s11: np.ndarray,
+               prec: StructuredPrecision | LowRankPrecision, w12: np.ndarray,
+               n: int, tol: float = 1e-9,
                max_iter: int = 100) -> tuple[np.ndarray, bool]:
     """Matrix GIG draw of the query block given the cross block.
 
@@ -225,7 +331,7 @@ def sample_w11(rng: RngStream, s11: np.ndarray, prec: StructuredPrecision,
     p = w12.shape[0]
     a = np.asarray(s11, dtype=float)
     a = (a + a.T) / 2.0 + np.eye(p)
-    b = w12 @ prec.k @ w12.T
+    b = prec.quad(w12)
     b = (b + b.T) / 2.0
     try:
         _chol_lower(b)
@@ -236,7 +342,8 @@ def sample_w11(rng: RngStream, s11: np.ndarray, prec: StructuredPrecision,
 
 
 def gibbs_sweep(rng: RngStream, state: BlanketState, cov: PartitionedCov,
-                prec: StructuredPrecision, hyper: HyperParams,
+                prec: StructuredPrecision | LowRankPrecision,
+                hyper: HyperParams,
                 config: ChainConfig | None = None,
                 timings: dict[str, float] | None = None) -> bool:
     """One full sweep (scales, then W12, then W11), updating state in place.
@@ -346,7 +453,7 @@ def run_chain(cov: PartitionedCov, hyper: HyperParams | None = None,
     hyper = hyper if hyper is not None else HyperParams()
     config = config if config is not None else ChainConfig()
     rng = rng if rng is not None else RngStream(config.seed)
-    prec = build_structured_precision(cov.s22)
+    prec = build_structured_precision(cov.s22, cov.x2, cov.p)
 
     def step(state: BlanketState, timings: dict) -> tuple[int, PartitionedCov]:
         return gibbs_sweep(rng, state, cov, prec, hyper, config, timings), cov

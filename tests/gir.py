@@ -103,11 +103,15 @@ def direct_arm(rng: RngStream, q: int, gamma: float,
 
 
 def chain_arm(rng: RngStream, q: int, gamma: float, n_obs: int,
-              iters: int, n_batches: int = 100) -> tuple[np.ndarray, np.ndarray]:
+              iters: int, n_batches: int = 100,
+              data_rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Means and batch-means standard errors along the data-augmented chain.
 
     The chain starts from an exact prior draw, so there is no burn-in to
     discard; autocorrelation is absorbed by the batch-means error bars.
+    With ``data_rows`` the scatter is drawn as n_obs Gaussian columns whose
+    other-variable rows reach the sweep, so with n_obs < q the W12 draw
+    takes the low-rank method; otherwise it is a Wishart draw.
     """
     if iters % n_batches != 0:
         raise ValueError("iters must split evenly into batches")
@@ -130,9 +134,17 @@ def chain_arm(rng: RngStream, q: int, gamma: float, n_obs: int,
         w_full[1:, 0] = w12
         w_full[1:, 1:] = fixed_schur + np.outer(w12, w12) / w11
         sigma = np.linalg.inv(w_full)
-        s = sample_wishart(rng, float(n_obs), (sigma + sigma.T) / 2.0)
-        cov = PartitionedCov(s[:1, :1], s[:1, 1:], s[1:, 1:], n_obs)
-        prec = build_structured_precision(cov.s22)
+        sigma = (sigma + sigma.T) / 2.0
+        if data_rows:
+            x = np.linalg.cholesky(sigma) @ rng.gen.standard_normal(
+                (1 + q, n_obs))
+            s = x @ x.T
+            cov = PartitionedCov(s[:1, :1], s[:1, 1:], s[1:, 1:], n_obs,
+                                 x2=x[1:])
+        else:
+            s = sample_wishart(rng, float(n_obs), sigma)
+            cov = PartitionedCov(s[:1, :1], s[:1, 1:], s[1:, 1:], n_obs)
+        prec = build_structured_precision(cov.s22, cov.x2, cov.p)
         gibbs_sweep(rng, state, cov, prec, hyper)
         g[it] = test_functions(
             state.w11[:, 0], state.w12, state.scales
@@ -146,9 +158,11 @@ def chain_arm(rng: RngStream, q: int, gamma: float, n_obs: int,
 
 def consistency_z_scores(seed: int, q: int = 2, gamma: float = 1.0,
                          n_obs: int = 5, reps: int = 20000,
-                         iters: int = 20000) -> np.ndarray:
+                         iters: int = 20000,
+                         data_rows: bool = False) -> np.ndarray:
     """z scores contrasting the direct and chain arms, one per function."""
     rng = RngStream(seed)
     mean_d, se_d = direct_arm(rng, q, gamma, reps)
-    mean_c, se_c = chain_arm(rng, q, gamma, n_obs, iters)
+    mean_c, se_c = chain_arm(rng, q, gamma, n_obs, iters,
+                             data_rows=data_rows)
     return (mean_d - mean_c) / np.sqrt(se_d ** 2 + se_c ** 2)

@@ -278,11 +278,26 @@ def test_kinds_binary_accepted_and_unused_by_the_fit(tmp_path):
     assert rc == 3
 
 
+def test_kinds_binary_with_more_than_two_levels_exits_3(tmp_path, caplog):
+    data = tmp_path / "mixed.csv"
+    data.write_text("a,b,c\n" + "".join(
+        f"{i % 3},{i % 2},{(i * 7) % 11}\n" for i in range(30)))
+    kinds = tmp_path / "kinds.csv"
+    kinds.write_text("name,kind\nb,binary\na,binary\n")
+    rc = _run("fit-copula", "--data", str(data), "--kinds", str(kinds),
+              "--query", "c", "--burn-in", "2", "--samples", "4",
+              "--out-dir", str(tmp_path / "o"))
+    assert rc == 3
+    assert "'a' is declared binary but has 3 distinct observed values" in caplog.text
+
+
 def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs more to import than the rest of bmb together.
-    code = "import sys, bmb.cli; print('scipy.stats' in sys.modules)"
+    # scipy.stats costs more to import than the rest of bmb together, and
+    # only fit-copula needs scipy.special.
+    code = ("import sys, bmb.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ,
                                               PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"

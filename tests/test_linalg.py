@@ -16,6 +16,7 @@ from bmb.linalg import (
     SpdMatrix,
     chol_inverse,
     chol_solve,
+    _chol_lower,
     cholesky,
     partition_scatter,
 )
@@ -48,6 +49,34 @@ def test_cholesky_rejects_tiny_pivot():
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
     with pytest.raises(NotPositiveDefinite):
         cholesky(a)
+
+
+def test_cholesky_accepts_one_huge_diagonal_entry(gen):
+    # Diagonally dominant, so well conditioned row by row, but its diagonal
+    # spans 13 orders of magnitude: a reciprocal shrinkage scale of 7.4e13
+    # on the first sweep makes such a matrix.  The pivot floor is relative
+    # to each pivot's own diagonal entry, not to the largest one.
+    a = make_spd(gen, 5)
+    a[2, 2] += 7.4e13
+    lower = cholesky(a).lower
+    assert np.allclose(lower @ lower.T, a, rtol=1e-12, atol=1e-12)
+
+
+def test_chol_lower_factors_a_stack_block_by_block(gen):
+    stack = np.stack([make_spd(gen, 3) for _ in range(4)])
+    stack[1, 0, 0] += 7.4e13
+    lower = _chol_lower(stack)
+    for a, ell in zip(stack, lower):
+        assert np.allclose(ell, _chol_lower(a), rtol=1e-12, atol=1e-12)
+    stack[3] = [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-14, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(NotPositiveDefinite) as exc:
+        _chol_lower(stack)
+    assert exc.value.pivot_index == 1
+    stack[3, 1, 1] = 0.5
+    with pytest.raises(NotPositiveDefinite):
+        _chol_lower(stack)
+    with pytest.raises(DimensionMismatch):
+        _chol_lower(np.ones((2, 3, 4)))
 
 
 def test_spd_matrix_symmetrizes_roundoff(gen):
@@ -129,6 +158,7 @@ def test_partition_scatter_blocks(gen):
     assert cov.n == 40
     assert cov.query_names == ["x2", "x0"]
     assert cov.other_names == ["x1", "x3", "x4"]
+    assert np.array_equal(cov.x2, vals[order][2:])
 
 
 def test_partition_scatter_centering_drops_one_observation(gen):
@@ -137,6 +167,8 @@ def test_partition_scatter_centering_drops_one_observation(gen):
     assert cov.n == 39
     centered = dm.values - dm.values.mean(axis=1, keepdims=True)
     assert np.allclose(cov.s11, centered[:1] @ centered[:1].T)
+    assert np.allclose(cov.x2, centered[1:])
+    assert np.allclose(cov.x2 @ cov.x2.T, cov.s22)
 
 
 def test_partition_scatter_errors(gen):
@@ -154,6 +186,9 @@ def test_partition_scatter_errors(gen):
 def test_partitioned_cov_validation(gen):
     with pytest.raises(DimensionMismatch):
         PartitionedCov(s11=np.eye(2), s12=np.zeros((2, 3)), s22=np.eye(4), n=5)
+    with pytest.raises(DimensionMismatch):
+        PartitionedCov(s11=np.eye(2), s12=np.zeros((2, 3)), s22=np.eye(3), n=5,
+                       x2=np.ones((2, 5)))
     with pytest.raises(NotPositiveDefinite):
         # An assembled matrix with a clearly negative eigenvalue.
         PartitionedCov(

@@ -8,6 +8,8 @@ from bmb.sampler import (
     BlanketState,
     ChainConfig,
     HyperParams,
+    LowRankPrecision,
+    StructuredPrecision,
     build_structured_precision,
     gibbs_sweep,
     initial_state,
@@ -18,6 +20,7 @@ from bmb.sampler import (
     sample_w12,
     structured_chol,
 )
+from gir import consistency_z_scores
 from helpers import dense_factor, factor_logdet, make_spd
 
 
@@ -112,6 +115,79 @@ def test_sample_w12_moments_match_dense_oracle(gen):
     se = np.sqrt(np.diag(cvar) / draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * se)
     assert np.allclose(np.cov(draws.T), cvar, rtol=0.2, atol=0.02)
+
+
+def test_low_rank_w12_moments_match_dense_conditional():
+    # The criterion 3 oracle for the low-rank draw (n < q).
+    gen = np.random.default_rng(212)
+    rng = RngStream(313)
+    p, q, n, n_draws = 3, 12, 5, 40_000
+    cov = _toy_cov(gen, p, q, n)
+    prec = build_structured_precision(cov.s22, cov.x2, cov.p)
+    assert isinstance(prec, LowRankPrecision)
+    w11 = make_spd(gen, p)
+    scales = gen.uniform(0.3, 2.0, (p, q))
+    s12 = gen.standard_normal((p, q))
+    c = _dense_blanket_precision(w11, cov.s22 + np.eye(q), scales)
+    target = np.linalg.inv(c)
+    mean = -target @ s12.ravel()
+    draws = np.stack([sample_w12(rng, prec, w11, scales, s12).ravel()
+                      for _ in range(n_draws)])
+    se_mean = np.sqrt(np.diag(target) / n_draws)
+    z_mean = np.max(np.abs(draws.mean(axis=0) - mean) / se_mean)
+    se_cov = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target ** 2)
+                     / n_draws)
+    z_cov = np.max(np.abs(np.cov(draws.T) - target) / se_cov)
+    assert z_mean < 4.0 and z_cov < 4.0, (z_mean, z_cov)
+
+
+def test_precision_path_follows_the_flop_model(gen):
+    # n >= q: the dense path, drawing bitwise what it drew before x2 existed.
+    cov = _toy_cov(gen, 2, 6, 30)
+    prec = build_structured_precision(cov.s22, cov.x2, cov.p)
+    assert isinstance(prec, StructuredPrecision)
+    w11 = make_spd(gen, 2)
+    scales = gen.uniform(0.5, 2.0, (2, 6))
+    ref = sample_w12(RngStream(8), build_structured_precision(cov.s22), w11,
+                     scales, cov.s12)
+    assert np.array_equal(sample_w12(RngStream(8), prec, w11, scales, cov.s12),
+                          ref)
+    # n < q: the low-rank path, with the same W12 K W21 for the W11 draw.
+    cov = _toy_cov(gen, 2, 40, 8)
+    prec = build_structured_precision(cov.s22, cov.x2, cov.p)
+    assert isinstance(prec, LowRankPrecision)
+    w12 = gen.standard_normal((2, 40))
+    assert np.allclose(prec.quad(w12),
+                       build_structured_precision(cov.s22).quad(w12))
+    out = run_chain(cov, HyperParams(gamma=2.0),
+                    ChainConfig(burn_in=5, samples=10, seed=3))
+    assert np.all(np.isfinite(out.w12)) and np.all(np.isfinite(out.log_post))
+    # Without x2 the dense path is the only one.
+    assert isinstance(build_structured_precision(cov.s22), StructuredPrecision)
+
+
+def test_low_rank_w12_pins_an_entry_with_a_tiny_scale(gen):
+    # A first sweep from W12 = 0 can draw a reciprocal scale of 7.4e13.
+    p, q, n = 4, 30, 6
+    cov = _toy_cov(gen, p, q, n)
+    prec = build_structured_precision(cov.s22, cov.x2, cov.p)
+    assert isinstance(prec, LowRankPrecision)
+    scales = gen.uniform(0.5, 2.0, (p, q))
+    scales[1, 7] = 1.0 / 7.4e13
+    rng = RngStream(11)
+    draws = np.stack([sample_w12(rng, prec, np.eye(p), scales, cov.s12)
+                      for _ in range(200)])
+    assert np.all(np.isfinite(draws))
+    assert np.max(np.abs(draws[:, 1, 7])) < 1e-5
+    assert np.std(draws[:, 0, 7]) > 1e-2
+
+
+def test_low_rank_sweep_prior_chain_consistency():
+    # Criterion 4's joint check with n_obs < q, so every sweep runs the
+    # low-rank W12 draw and its W12 K W21 in the W11 draw.
+    z = consistency_z_scores(seed=315, q=6, gamma=1.0, n_obs=3,
+                             reps=20_000, iters=20_000, data_rows=True)
+    assert np.max(np.abs(z)) < 4.0, z
 
 
 def test_sample_w11_collapses_to_wishart_when_w12_zero(gen):
