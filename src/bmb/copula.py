@@ -305,14 +305,10 @@ def run_copula_chain(table: MixedDataTable, query: list[str],
         timings["latent"] = timings.get("latent", 0.0) + (t1 - t0)
         timings["sigma"] = timings.get("sigma", 0.0) + (t2 - t1)
 
-        s_full = x @ x.T
         # x2 is a view of the latent rows: this iteration's sweeps read it
         # before the next latent sweep rewrites x.
-        cov = PartitionedCov(
-            s11=s_full[:p, :p], s12=s_full[:p, p:], s22=s_full[p:, p:],
-            n=ordered.n, query_names=tuple(ordered.names[:p]),
-            other_names=tuple(ordered.names[p:]), x2=x[p:],
-        )
+        cov = PartitionedCov.from_rows(x, p, ordered.n, ordered.names[:p],
+                                       ordered.names[p:])
         prec = build_structured_precision(cov.s22, cov.x2, p)
         mh = 0
         for _ in range(cfg.inner_sweeps_per_outer):

@@ -111,15 +111,15 @@ class SpdMatrix:
     def factor(self) -> CholeskyFactor:
         return CholeskyFactor(lower=self.chol_lower, dim=self.dim)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return chol_solve(self.factor(), b)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdMatrix(dim={self.dim})"
 
 
 def cholesky(m: SpdMatrix | np.ndarray) -> CholeskyFactor:
     """Lower Cholesky factor of a symmetric positive definite matrix.
+
+    Only the lower triangle of an array is read: entry points that take a
+    caller's matrix, such as :class:`SpdMatrix`, symmetrize it once there.
 
     Raises
     ------
@@ -129,10 +129,8 @@ def cholesky(m: SpdMatrix | np.ndarray) -> CholeskyFactor:
     """
     if isinstance(m, SpdMatrix):
         return m.factor()
-    a = np.asarray(m, dtype=float)
-    a = (a + a.T) / 2.0
-    lower = _chol_lower(a)
-    return CholeskyFactor(lower=lower, dim=a.shape[0])
+    lower = _chol_lower(m)
+    return CholeskyFactor(lower=lower, dim=lower.shape[0])
 
 
 def chol_solve(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
@@ -175,10 +173,6 @@ class DataMatrix:
             raise UnknownVariable("variable names must be unique")
 
     @property
-    def n_vars(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_obs(self) -> int:
         return self.values.shape[1]
 
@@ -189,11 +183,11 @@ class PartitionedCov:
 
     ``s11`` is query-by-query, ``s12`` query-by-other, ``s22`` other-by-other.
     ``n`` is the effective number of observations (reduced by one when the
-    scatter was computed from centered data).  The reassembled matrix must be
-    symmetric positive semi-definite; blocks may be singular when n is small.
-    ``x2``, when given, holds the other variables' rows (other-by-columns,
-    centered when the scatter was) with ``s22 == x2 @ x2.T``; the W12 update
-    uses it when there are fewer columns than other variables.
+    scatter was computed from centered data).  Blocks passed here must
+    reassemble into a finite, positive semi-definite matrix (blocks may be
+    singular when n is small); ``s11`` and ``s22`` are symmetrized.
+    ``x2``, the other variables' rows with ``s22 == x2 @ x2.T``, is set only
+    by :meth:`from_rows`; the W12 update uses it when n < q.
     """
 
     s11: np.ndarray
@@ -202,12 +196,14 @@ class PartitionedCov:
     n: int
     query_names: list[str] = field(default_factory=list)
     other_names: list[str] = field(default_factory=list)
-    x2: np.ndarray | None = None
+    x2: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
-        self.s11 = np.asarray(self.s11, dtype=float)
+        s11 = np.asarray(self.s11, dtype=float)
+        s22 = np.asarray(self.s22, dtype=float)
+        self.s11 = (s11 + s11.T) / 2.0
         self.s12 = np.asarray(self.s12, dtype=float)
-        self.s22 = np.asarray(self.s22, dtype=float)
+        self.s22 = (s22 + s22.T) / 2.0
         p, q = self.s12.shape
         if self.s11.shape != (p, p) or self.s22.shape != (q, q):
             raise DimensionMismatch(
@@ -216,9 +212,6 @@ class PartitionedCov:
             )
         if self.n < 0:
             raise DimensionMismatch("effective observation count must be >= 0")
-        if self.x2 is not None and (self.x2.ndim != 2 or self.x2.shape[0] != q):
-            raise DimensionMismatch(
-                f"x2 has shape {self.x2.shape}, expected {q} rows")
         full = self.assemble()
         if not np.all(np.isfinite(full)):
             raise DimensionMismatch("scatter blocks contain non-finite entries")
@@ -228,6 +221,24 @@ class PartitionedCov:
             raise NotPositiveDefinite(
                 f"reassembled scatter has eigenvalue {w[0]:.3e} < 0"
             )
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, p: int, n: int,
+                  query_names: Sequence[str] = (),
+                  other_names: Sequence[str] = ()) -> "PartitionedCov":
+        """Blocks of ``rows @ rows.T`` (query rows on top), ``x2 = rows[p:]``.
+
+        The scatter is symmetric and positive semi-definite by construction,
+        so nothing is checked: the caller vouches that ``rows`` is finite.
+        """
+        s = rows @ rows.T
+        cov = cls.__new__(cls)
+        cov.s11, cov.s12, cov.s22 = s[:p, :p], s[:p, p:], s[p:, p:]
+        cov.n = n
+        cov.query_names = list(query_names)
+        cov.other_names = list(other_names)
+        cov.x2 = rows[p:]
+        return cov
 
     @property
     def p(self) -> int:
@@ -282,7 +293,8 @@ def partition_scatter(
     Parameters
     ----------
     x : DataMatrix
-        Variables-by-observations data.
+        Variables-by-observations data, checked here to be finite, the one
+        check :meth:`PartitionedCov.from_rows` leaves to its caller.
     query : list of str
         Names of the query variables, in the order their block should use.
     center : bool
@@ -296,21 +308,15 @@ def partition_scatter(
         with the other variables' rows as ``x2``.
     """
     query_idx, other_idx = split_query(x.names, query)
-    order = query_idx + other_idx
-    vals = x.values[order, :]
+    if not np.all(np.isfinite(x.values)):
+        raise DimensionMismatch("data contain non-finite entries")
+    vals = x.values[query_idx + other_idx, :]
     n = x.n_obs
     if center:
         vals = vals - vals.mean(axis=1, keepdims=True)
         n = max(n - 1, 0)
-    s = vals @ vals.T
-    s = (s + s.T) / 2.0
-    p = len(query_idx)
-    return PartitionedCov(
-        s11=s[:p, :p],
-        s12=s[:p, p:],
-        s22=s[p:, p:],
-        n=n,
+    return PartitionedCov.from_rows(
+        vals, len(query_idx), n,
         query_names=[x.names[i] for i in query_idx],
         other_names=[x.names[i] for i in other_idx],
-        x2=vals[p:],
     )

@@ -11,7 +11,7 @@ on the symmetric positive definite cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -23,7 +23,7 @@ from .errors import (
     NonConvergence,
     NotPositiveDefinite,
 )
-from .linalg import cholesky, chol_solve
+from .linalg import _chol_lower, cholesky, chol_solve
 
 _TAIL_Z = 4.0  # standardized bound beyond which tail strategies kick in
 
@@ -41,17 +41,13 @@ class RngStream:
         self._seq = np.random.SeedSequence(self.seed) if _seq is None else _seq
         self.gen = np.random.Generator(np.random.PCG64(self._seq))
 
-    @property
-    def key(self) -> tuple:
-        return tuple(self._seq.spawn_key)
-
     def split(self, k: int) -> list["RngStream"]:
         if k < 1:
             raise InvalidParameter("split count must be >= 1")
         return [RngStream(self.seed, _seq=child) for child in self._seq.spawn(k)]
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(seed={self.seed}, key={self.key})"
+        return f"RngStream(seed={self.seed}, key={self._seq.spawn_key})"
 
 
 def sample_wishart(rng: RngStream, df: float, scale: np.ndarray) -> np.ndarray:
@@ -66,6 +62,7 @@ def sample_wishart(rng: RngStream, df: float, scale: np.ndarray) -> np.ndarray:
         SPD scale matrix; the draw has mean ``df * scale``.
     """
     scale = np.asarray(scale, dtype=float)
+    scale = (scale + scale.T) / 2.0
     d = scale.shape[0]
     if df <= d - 1:
         raise InvalidDegreesOfFreedom(f"df={df} must exceed dim-1={d - 1}")
@@ -117,41 +114,53 @@ def sample_inverse_gaussian(rng: RngStream, mu, shape):
 
 @dataclass(frozen=True)
 class MgigParams:
-    """Order and matrix pair of the MGIG density.
+    """Order and matrix pair of the MGIG density, checked and factored once.
 
-    ``b`` must be SPD.  ``a`` may be positive semi-definite; a singular ``a``
-    is only integrable for lam > dim - 1, which is checked here.
+    ``a`` and ``b`` are symmetrized, and their lower Cholesky factors, the
+    check that ``b`` is SPD, are kept for :func:`sample_mgig`.  A positive
+    semi-definite ``a`` whose factor fails is only integrable for
+    lam > dim - 1; an eigendecomposition checks that, and ``a_lower``
+    then factors ``a`` plus a tiny ridge.  Orders 0 <= lam <= dim - 1
+    have no continued-fraction route and are rejected.
     """
 
     lam: float
     a: np.ndarray
     b: np.ndarray
+    a_lower: np.ndarray = field(init=False, repr=False, compare=False)
+    b_lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        a = (a + a.T) / 2.0
-        b = (b + b.T) / 2.0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "lam", float(self.lam))
         p = a.shape[0]
         if a.shape != (p, p) or b.shape != (p, p):
             raise InvalidParameter("a and b must be square with matching dims")
+        lam = float(self.lam)
+        if 0.0 <= lam <= p - 1:
+            raise InvalidParameter(f"no continued-fraction route for order "
+                                   f"{lam} in [0, dim-1 = {p - 1}]")
+        a, b = (a + a.T) / 2.0, (b + b.T) / 2.0
+        # b first: a caller that retries with a ridged b has not factored a.
         try:
-            cholesky(b)
+            b_lower = _chol_lower(b)
         except NotPositiveDefinite as exc:
             raise InvalidParameter(f"b must be SPD: {exc}") from exc
-        eig = np.linalg.eigvalsh(a)
-        scale = max(float(eig[-1]), 1.0)
-        if eig[0] < -1e-10 * scale:
-            raise InvalidParameter(f"a has negative eigenvalue {eig[0]:.3e}")
-        singular_a = eig[0] <= 1e-12 * scale
-        if singular_a and not self.lam > p - 1:
-            raise InvalidParameter(
-                f"singular a needs order lam > dim-1 for integrability "
-                f"(got lam={self.lam}, dim={p})"
-            )
+        try:
+            a_lower = _chol_lower(a)
+        except NotPositiveDefinite:
+            eig = np.linalg.eigvalsh(a)
+            scale = max(float(eig[-1]), 1.0)
+            if eig[0] < -1e-10 * scale:
+                raise InvalidParameter(
+                    f"a has negative eigenvalue {eig[0]:.3e}")
+            if eig[0] <= 1e-12 * scale and not lam > p - 1:
+                raise InvalidParameter(f"singular a needs order lam > dim-1 "
+                                       f"(got lam={lam}, dim={p})")
+            a_lower = _ridged_chol(a)
+        for name, value in (("lam", lam), ("a", a), ("b", b),
+                            ("a_lower", a_lower), ("b_lower", b_lower)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -163,17 +172,11 @@ def _ridged_chol(m: np.ndarray) -> np.ndarray:
     ridge = 1e-12 * max(1.0, float(np.mean(np.diag(m))))
     for _ in range(8):
         try:
-            return cholesky(m).lower
+            return _chol_lower(m)
         except NotPositiveDefinite:
             m = m + ridge * np.eye(m.shape[0])
             ridge *= 100.0
     raise NonConvergence("could not regularize matrix to SPD for sampling")
-
-
-def _upper_sqrt_of_inverse(m: np.ndarray) -> np.ndarray:
-    """F with F @ F.T = inv(m), from the Cholesky factor of m."""
-    lower = _ridged_chol(m)
-    return solve_triangular(lower, np.eye(m.shape[0]), lower=True, trans="T")
 
 
 def _mgig_logpdf_unnorm(m: np.ndarray, params: MgigParams) -> float:
@@ -280,11 +283,11 @@ def sample_mgig(
     The fraction alternates Wishart(nu, inv(A)) and Wishart(nu, inv(B))
     summands with nu = 2 lam - dim + 1, the degree for which one double step
     leaves the target law invariant.  Orders with lam < 0 are drawn through
-    the inverse parameterization (which restores nu > dim - 1).  Deepening
-    stops once successive evaluations agree to ``tol`` in relative Frobenius
-    norm; if ``max_iter`` levels do not converge, one independence
-    Metropolis-Hastings step with a moment-matched Wishart proposal corrects
-    the draw.
+    the inverse parameterization (which restores nu > dim - 1), from the
+    factors :class:`MgigParams` computed as its check.  Deepening stops once
+    successive evaluations agree to ``tol`` in relative Frobenius norm; if
+    ``max_iter`` levels do not converge, one independence Metropolis-Hastings
+    step with a moment-matched Wishart proposal corrects the draw.
 
     Returns
     -------
@@ -292,33 +295,24 @@ def sample_mgig(
         An SPD matrix and whether the MH fallback had to fire.
     """
     p = params.dim
-    lam = params.lam
-    if lam < 0:
-        invert, lam_cf, a_cf, b_cf = True, p - 1 - lam, params.b, params.a
-    elif lam > p - 1:
-        invert, lam_cf, a_cf, b_cf = False, lam, params.a, params.b
-    else:
-        # No continued-fraction route exists for 0 <= lam <= dim-1; the
-        # model never produces such orders.  Fall straight back to MH.
-        guess = np.eye(p) * float(
-            np.sqrt((np.trace(params.b) + 1.0) / (np.trace(params.a) + 1.0))
-        )
-        draw = _mh_correct(rng, guess, params)
-        return draw, True
+    invert = params.lam < 0
+    lam_cf = p - 1 - params.lam if invert else params.lam
+    cf = [(params.a, params.a_lower), (params.b, params.b_lower)]
+    (a_cf, a_lower), (b_cf, b_lower) = cf[::-1] if invert else cf
 
     nu = 2.0 * lam_cf - p + 1.0
-    converged = False
     if p == 1:
         val, converged = _cf_scalar(
             rng, nu, float(a_cf[0, 0]), float(b_cf[0, 0]), tol, max_iter
         )
         cur = np.array([[val]])
     else:
-        fa = _upper_sqrt_of_inverse(a_cf)
-        fb = _upper_sqrt_of_inverse(b_cf)
+        # fa @ fa.T = inv(A) from A = L L', and likewise fb for B.
+        fa = solve_triangular(a_lower, np.eye(p), lower=True, trans="T")
+        fb = solve_triangular(b_lower, np.eye(p), lower=True, trans="T")
         cur, converged = _cf_matrix(rng, nu, fa, fb, p, tol, max_iter)
 
-    if invert and cur is not None:
+    if invert:
         try:
             cur = chol_solve(cholesky(cur), np.eye(p))
             cur = (cur + cur.T) / 2.0

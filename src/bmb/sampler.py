@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import InvalidParameter, NotPositiveDefinite
+from .errors import InvalidParameter
 from .linalg import PartitionedCov, _chol_lower, chol_inverse, chol_solve, cholesky
 from .rng import MgigParams, RngStream, sample_inverse_gaussian, sample_mgig
 
@@ -99,9 +99,6 @@ class BlanketState:
     w11: np.ndarray
     w12: np.ndarray
     scales: np.ndarray
-
-    def copy(self) -> "BlanketState":
-        return BlanketState(self.w11.copy(), self.w12.copy(), self.scales.copy())
 
 
 def initial_state(p: int, q: int) -> BlanketState:
@@ -323,21 +320,24 @@ def sample_w11(rng: RngStream, s11: np.ndarray,
     The conditional density is det(W11)^(n/2)
     exp(-tr((S11+I) W11 + B inv(W11)) / 2) with B = W12 (S22+I) W21, an
     MGIG law of order -n/2 - 1.  B is only positive semidefinite (rank at
-    most min(p, q), and exactly zero at initialization), so a tiny ridge
-    keeps the parameterization valid without visibly moving the draw.
+    most min(p, q), and exactly zero at initialization), so when it does
+    not factor, a tiny ridge keeps the parameterization valid without
+    visibly moving the draw.  :class:`MgigParams` symmetrizes and factors
+    A and B once each, and factors B first, so a B that needs the ridge
+    fails before A is factored.
 
     Returns the draw and whether the MH fallback had to correct it.
     """
     p = w12.shape[0]
-    a = np.asarray(s11, dtype=float)
-    a = (a + a.T) / 2.0 + np.eye(p)
+    lam = -0.5 * n - 1.0
+    a = s11 + np.eye(p)
     b = prec.quad(w12)
-    b = (b + b.T) / 2.0
     try:
-        _chol_lower(b)
-    except NotPositiveDefinite:
+        params = MgigParams(lam=lam, a=a, b=b)
+    except InvalidParameter:
+        # The order and A = S11 + I are valid by construction, so B failed.
         b = b + (_B_RIDGE * max(1.0, float(np.trace(b)) / p)) * np.eye(p)
-    params = MgigParams(lam=-0.5 * n - 1.0, a=a, b=b)
+        params = MgigParams(lam=lam, a=a, b=b)
     return sample_mgig(rng, params, tol=tol, max_iter=max_iter)
 
 
@@ -375,9 +375,8 @@ def log_posterior_unnorm(state: BlanketState, cov: PartitionedCov,
     Used as a trace statistic and for gradient checks; constants and the
     scale-prior terms that do not involve the blocks are dropped.
     """
-    p = cov.p
-    a = (cov.s11 + cov.s11.T) / 2.0 + np.eye(p)
-    k = (cov.s22 + cov.s22.T) / 2.0 + np.eye(cov.q)
+    a = cov.s11 + np.eye(cov.p)
+    k = cov.s22 + np.eye(cov.q)
     factor = cholesky(state.w11)
     terms = 0.5 * cov.n * factor.logdet()
     terms -= 0.5 * float(np.sum(state.w11 * a))

@@ -138,9 +138,7 @@ def chain_arm(rng: RngStream, q: int, gamma: float, n_obs: int,
         if data_rows:
             x = np.linalg.cholesky(sigma) @ rng.gen.standard_normal(
                 (1 + q, n_obs))
-            s = x @ x.T
-            cov = PartitionedCov(s[:1, :1], s[:1, 1:], s[1:, 1:], n_obs,
-                                 x2=x[1:])
+            cov = PartitionedCov.from_rows(x, 1, n_obs)
         else:
             s = sample_wishart(rng, float(n_obs), sigma)
             cov = PartitionedCov(s[:1, :1], s[:1, 1:], s[1:, 1:], n_obs)

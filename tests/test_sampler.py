@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bmb.errors import InvalidParameter
-from bmb.linalg import PartitionedCov, cholesky, partition_scatter, DataMatrix
-from bmb.rng import RngStream
+from bmb.linalg import partition_scatter, DataMatrix
+from bmb.rng import MgigParams, RngStream, sample_mgig
 from bmb.sampler import (
     BlanketState,
     ChainConfig,
@@ -61,8 +61,8 @@ def test_initial_state():
     assert np.array_equal(st.w11, np.eye(2))
     assert np.array_equal(st.w12, np.zeros((2, 5)))
     assert np.array_equal(st.scales, np.ones((2, 5)))
-    cp = st.copy()
-    cp.w12[0, 0] = 3.0
+    again = initial_state(2, 5)
+    again.w12[0, 0] = 3.0
     assert st.w12[0, 0] == 0.0
 
 
@@ -207,6 +207,27 @@ def test_sample_w11_collapses_to_wishart_when_w12_zero(gen):
     assert np.all(np.abs(draws.mean(axis=0) - target) < 5 * se)
 
 
+@pytest.mark.parametrize("p, q, n", [(3, 5, 30), (1, 4, 20), (2, 40, 8)])
+def test_sample_w11_is_the_public_mgig_route_bitwise(gen, p, q, n):
+    # The sweep's W11 draw is sample_mgig on MgigParams(-n/2 - 1, S11 + I, B)
+    # from the same stream state, with B = W12 (S22 + I) W21 ridged only
+    # when it is singular (W12 = 0).  (2, 40, 8) takes the low-rank B.
+    cov = _toy_cov(gen, p, q, n)
+    prec = build_structured_precision(cov.s22, cov.x2, cov.p)
+    lam = -0.5 * cov.n - 1.0
+    a = cov.s11 + np.eye(p)
+    w12 = 0.3 * gen.standard_normal((p, q))
+    zero = np.zeros((p, q))
+    with pytest.raises(InvalidParameter):
+        MgigParams(lam=lam, a=a, b=prec.quad(zero))
+    for w, b in [(w12, prec.quad(w12)), (zero, 1e-12 * np.eye(p))]:
+        rng, rng_ref = RngStream(21), RngStream(21)
+        draw, mh = sample_w11(rng, cov.s11, prec, w, cov.n)
+        ref, mh_ref = sample_mgig(rng_ref, MgigParams(lam=lam, a=a, b=b))
+        assert np.array_equal(draw, ref) and mh == mh_ref
+        assert rng.gen.random() == rng_ref.gen.random()
+
+
 def test_gibbs_sweep_updates_state_and_times_phases(gen, rng):
     cov = _toy_cov(gen)
     prec = build_structured_precision(cov.s22)
@@ -229,8 +250,7 @@ def test_log_posterior_gradient_w12(gen):
     base = log_posterior_unnorm(state, cov, gamma)
     eps = 1e-6
     for idx in [(0, 0), (1, 2)]:
-        bumped = state.copy()
-        bumped.w12 = state.w12.copy()
+        bumped = BlanketState(state.w11, state.w12.copy(), state.scales)
         bumped.w12[idx] += eps
         fd = (log_posterior_unnorm(bumped, cov, gamma) - base) / eps
         k = cov.s22 + np.eye(cov.q)
