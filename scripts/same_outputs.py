@@ -15,7 +15,10 @@ The set: ``simulate`` (p = 3, q = 20, n = 200) and four fits of that data
 three recoded columns, 4% NA cells and ``--kinds``); a fit of a p = 1
 simulation, so the scalar continued fraction runs; a fit of a simulation
 with fewer observations than other variables, so the low-rank W12 draw
-runs; and ``diagnose`` plus ``evaluate`` on every edges file.
+runs; ``diagnose`` plus ``evaluate`` on every edges file; and two more
+``diagnose`` runs on the thinned fit's edges, with an explicit ``--edges``
+selection and with ``--edges none``, so ``traces.csv`` is written for a
+chosen set of edges and for none.
 
 Exits 0 when every file is identical, 1 when a file differs or exists in
 one run only, and 2 on a usage error or a failing command.
@@ -61,6 +64,12 @@ FITS = (
                              "--samples", "110", "--inner-sweeps", "2"]),
     ("fit-wide", "sim-wide", ["fit", "--query", "v0,v1", *CHAIN,
                               "--seed", "29", "--samples", "110"]),
+)
+
+# (output dir, --edges value) of the extra diagnose runs on fit-thin's edges.
+TRACES = (
+    ("diagnose-selected", "v2:v10,v0:v3,v1:v22,v0:v3"),
+    ("diagnose-none", "none"),
 )
 
 
@@ -139,6 +148,10 @@ def run_set(src: Path, work: Path) -> None:
             bmb("evaluate", "--data", str(edges),
                 "--truth", str(truth / "truth.csv"),
                 "--out-dir", str(work / out / f"evaluate-{tag}"))
+    for out, edges in TRACES:
+        bmb("diagnose", "--data", str(work / "fit-thin" / "edges.csv"),
+            "--max-lag", "7", "--edges", edges,
+            "--out-dir", str(work / "fit-thin" / out))
 
 
 def _without_wall_time(path: Path) -> dict:

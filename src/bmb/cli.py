@@ -5,6 +5,10 @@ files, and ``--seed``; repeated invocations produce byte-identical
 outputs, with the single exception of the wall-time block inside
 manifest.json.  Exit codes: 0 success, 2 bad flags, 3 unreadable or
 ill-formed data, 4 sampler failure, 5 constant variable in copula input.
+
+The sampler stack (``sampler``, ``copula``, ``linalg``, ``rng`` and the
+scipy modules behind them) is imported inside the commands that run it,
+so ``diagnose`` and ``evaluate`` start without loading scipy.
 """
 
 from __future__ import annotations
@@ -17,12 +21,11 @@ import os
 import platform
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .copula import CopulaConfig, MixedDataTable, run_copula_chain
 from .diagnostics import (
     ChainSeries,
     autocorrelation,
@@ -43,7 +46,9 @@ from .errors import (
     UnknownVariable,
 )
 from .io import (
+    csv_row,
     fmt_float,
+    fmt_floats,
     read_data_csv,
     read_edges_csv,
     read_kinds_csv,
@@ -53,9 +58,6 @@ from .io import (
     write_json,
     write_truth_csv,
 )
-from .linalg import partition_scatter
-from .rng import RngStream
-from .sampler import ChainConfig, ChainOutput, HyperParams, run_chain
 from .synthetic import (
     GraphSpec,
     gen_precision,
@@ -63,6 +65,11 @@ from .synthetic import (
     simulate_data,
     threshold_blanket,
 )
+
+if TYPE_CHECKING:
+    from .copula import MixedDataTable
+    from .rng import RngStream
+    from .sampler import ChainOutput
 
 logger = logging.getLogger(__name__)
 
@@ -102,6 +109,8 @@ class RunManifest:
 
 
 def _versions() -> dict:
+    import scipy
+
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -158,17 +167,23 @@ def _check_level(level: float) -> float:
 
 
 def _chain_streams(seed: int, k: int) -> list[RngStream]:
+    from .rng import RngStream
+
     if k == 1:
         return [RngStream(seed)]
     return RngStream(seed).split(k)
 
 
 def _fit_chain_worker(payload) -> ChainOutput:
+    from .sampler import run_chain
+
     cov, hyper, config, stream = payload
     return run_chain(cov, hyper=hyper, config=config, rng=stream)
 
 
 def _copula_chain_worker(payload) -> ChainOutput:
+    from .copula import run_copula_chain
+
     table, query, hyper, cfg, stream = payload
     return run_copula_chain(table, query, hyper=hyper, cfg=cfg, rng=stream)
 
@@ -228,6 +243,8 @@ def _write_fit_outputs(out_dir: Path, command: str, args: argparse.Namespace,
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .rng import RngStream
+
     spec = GraphSpec(
         p=args.p, q=args.q,
         beta_a=args.beta_a, beta_b=args.beta_b,
@@ -259,6 +276,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from .linalg import partition_scatter
+    from .sampler import ChainConfig, HyperParams
+
     level = _check_level(args.level)
     query = _parse_query(args.query)
     data = read_data_csv(args.data)
@@ -282,6 +302,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _table_from_csv(args: argparse.Namespace) -> MixedDataTable:
+    from .copula import MixedDataTable
+
     data = read_data_csv(args.data)
     if args.kinds is not None:
         for name, kind in read_kinds_csv(args.kinds).items():
@@ -306,6 +328,9 @@ def _table_from_csv(args: argparse.Namespace) -> MixedDataTable:
 
 
 def cmd_fit_copula(args: argparse.Namespace) -> int:
+    from .copula import CopulaConfig
+    from .sampler import ChainConfig, HyperParams
+
     level = _check_level(args.level)
     query = _parse_query(args.query)
     table = _table_from_csv(args)
@@ -363,19 +388,15 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     eff_lag = min(args.max_lag, m - 1)
     out_dir = _out_dir(args)
     short = 0
-
-    import csv as _csv
     with open(out_dir / "diagnostics.csv", "w", encoding="utf-8",
               newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["query", "other", "ess", "geweke_z"]
-                   + [f"acf_lag{k}" for k in range(1, eff_lag + 1)])
+        fh.write(csv_row(["query", "other", "ess", "geweke_z"]
+                         + [f"acf_lag{k}" for k in range(1, eff_lag + 1)]))
         for i, qname in enumerate(query_names):
             for j, oname in enumerate(other_names):
                 series = ChainSeries(w12[:, i, j], label=f"{qname}:{oname}")
                 try:
-                    acf = [fmt_float(v)
-                           for v in autocorrelation(series, eff_lag)[1:]]
+                    acf = fmt_floats(autocorrelation(series, eff_lag)[1:])
                 except ConstantSeries:
                     acf = ["NA"] * eff_lag
                 try:
@@ -389,7 +410,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                     short += 1
                 except ConstantSeries:
                     gz = "NA"
-                w.writerow([qname, oname, ess, gz] + acf)
+                fh.write(f"{csv_row([qname, oname])[:-1]},"
+                         f"{','.join([ess, gz, *acf])}\n")
     if short:
         # geweke_z's first window is a tenth of the draws and needs 10.
         logger.warning("geweke_z is NA for %d of %d edges: it needs at least "
@@ -398,13 +420,13 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
     selected = _parse_edge_selection(args.edges, query_names, other_names)
     with open(out_dir / "traces.csv", "w", encoding="utf-8", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["sample"] + [f"{query_names[i]}:{other_names[j]}"
-                                 for i, j in selected])
+        fh.write(csv_row(["sample"] + [f"{query_names[i]}:{other_names[j]}"
+                                       for i, j in selected]))
         if selected:
+            rows, cols = zip(*selected)
+            traces = w12[:, list(rows), list(cols)]
             for s in range(m):
-                w.writerow([s] + [fmt_float(w12[s, i, j])
-                                  for i, j in selected])
+                fh.write(f"{s},{','.join(fmt_floats(traces[s]))}\n")
     return EXIT_OK
 
 

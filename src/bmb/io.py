@@ -5,18 +5,49 @@ missing cells, and floats printed with ``repr`` so every value survives a
 write/read/write round trip byte for byte.  Data files are oriented the
 tabular way (rows are observations, columns are variables) and transposed
 into :class:`~bmb.linalg.DataMatrix` on load.
+
+The edges file is the one output that grows with q times the samples, so
+it is written one sample at a time from whole arrays, with each row's
+names quoted once, and read back by two ``np.loadtxt`` passes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataFormatError
-from .linalg import DataMatrix
+
+if TYPE_CHECKING:
+    from .linalg import DataMatrix
+
+_EDGES_HEADER = ["sample", "query", "other", "weight"]
+
+# One edges row as the first read pass parses it.  The names come from the
+# second pass; reading them here as one-character placeholders costs little
+# and makes loadtxt reject every row that does not have four fields.
+_EDGE_ROW = np.dtype([("sample", np.int64), ("query", "U1"),
+                      ("other", "U1"), ("weight", np.float64)])
+
+
+class _Echo:
+    """File stand-in whose ``write`` returns what it is given."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+_ROW = csv.writer(_Echo(), lineterminator="\n")
+
+
+def csv_row(cells) -> str:
+    """One CSV line, newline included, exactly as ``csv.writer`` writes it."""
+    return _ROW.writerow(cells)
 
 
 def fmt_float(v: float) -> str:
@@ -25,6 +56,14 @@ def fmt_float(v: float) -> str:
     if np.isnan(v):
         return "NA"
     return repr(v)
+
+
+def fmt_floats(values: np.ndarray) -> list[str]:
+    """:func:`fmt_float` of every entry of a 1-d array."""
+    cells = list(map(repr, values.tolist()))
+    for k in np.flatnonzero(np.isnan(values)).tolist():
+        cells[k] = "NA"
+    return cells
 
 
 def _parse_float(cell: str, where: str) -> float:
@@ -59,6 +98,8 @@ def write_data_csv(path: Path, data: DataMatrix) -> None:
 
 def read_data_csv(path: Path) -> DataMatrix:
     """Load a data CSV; NA cells become NaN."""
+    from .linalg import DataMatrix
+
     rows = _open_rows(path)
     if not rows:
         raise DataFormatError(f"{path}: empty file")
@@ -115,67 +156,84 @@ def read_truth_csv(path: Path) -> tuple[list[str], list[str], np.ndarray]:
 
 def write_edges_csv(path: Path, query_names, other_names,
                     w12: np.ndarray) -> None:
-    """Write retained blanket draws in long form (sample, query, other, weight)."""
+    """Write retained blanket draws in long form (sample, query, other, weight).
+
+    Rows run over samples, then query names, then other names.  Each
+    sample is formatted from its whole p-by-q array and written as one
+    string, so the file is never held in memory at once.
+    """
     w12 = np.asarray(w12, dtype=float)
     m, p, q = w12.shape
+    names = [csv_row([query_names[i], other_names[j]])[:-1]
+             for i in range(p) for j in range(q)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["sample", "query", "other", "weight"])
+        fh.write(csv_row(_EDGES_HEADER))
         for s in range(m):
-            for i in range(p):
-                row_w = w12[s, i]
-                for j in range(q):
-                    w.writerow([s, query_names[i], other_names[j],
-                                fmt_float(row_w[j])])
+            head = f"{s},"
+            fh.write("".join([f"{head}{pair},{cell}\n" for pair, cell
+                              in zip(names, fmt_floats(w12[s].ravel()))]))
+
+
+def _first_appearance(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Distinct names in order of first appearance, and each row's position."""
+    names, first, inverse = np.unique(column, return_index=True,
+                                      return_inverse=True)
+    order = np.argsort(first)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return names[order].tolist(), position[inverse.ravel()]
+
+
+def _load_rows(path: Path, **kwargs) -> np.ndarray:
+    with warnings.catch_warnings():
+        # A header-only file; the caller reports it.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", quotechar='"', comments=None,
+                          skiprows=1, encoding="utf-8", **kwargs)
 
 
 def read_edges_csv(path: Path) -> tuple[list[str], list[str], np.ndarray]:
     """Load edges.csv into (query names, other names, draws of shape m,p,q).
 
     Variable orders are taken from first appearance; every sample must
-    cover the same query-by-other grid exactly once.
+    cover the same query-by-other grid exactly once.  One pass reads the
+    integer sample index and the weight of every row, a second reads the
+    two names.
     """
-    rows = _open_rows(path)
-    if not rows or rows[0] != ["sample", "query", "other", "weight"]:
-        raise DataFormatError(
-            f"{path}: expected header sample,query,other,weight"
-        )
-    query_names: list[str] = []
-    other_names: list[str] = []
-    qpos: dict[str, int] = {}
-    opos: dict[str, int] = {}
-    triples = []
-    for i, row in enumerate(rows[1:]):
-        if len(row) != 4:
-            raise DataFormatError(f"{path}: ragged row {i + 2}")
-        try:
-            s = int(row[0])
-        except ValueError as exc:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = fh.readline()
+        if header.rstrip("\r\n") != ",".join(_EDGES_HEADER):
             raise DataFormatError(
-                f"{path}: row {i + 2}: bad sample index {row[0]!r}"
-            ) from exc
-        if row[1] not in qpos:
-            qpos[row[1]] = len(query_names)
-            query_names.append(row[1])
-        if row[2] not in opos:
-            opos[row[2]] = len(other_names)
-            other_names.append(row[2])
-        weight = _parse_float(row[3], f"{path}: row {i + 2}")
-        triples.append((s, qpos[row[1]], opos[row[2]], weight))
-    if not triples:
+                f"{path}: expected header {','.join(_EDGES_HEADER)}"
+            )
+        rows = _load_rows(path, dtype=_EDGE_ROW, ndmin=1)
+        pairs = _load_rows(path, usecols=(1, 2), dtype=str, ndmin=2)
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    if rows.size == 0:
         raise DataFormatError(f"{path}: no edge rows")
-    m = max(t[0] for t in triples) + 1
-    p, q = len(query_names), len(other_names)
-    if min(t[0] for t in triples) < 0 or len(triples) != m * p * q:
+    sample, weight = rows["sample"], rows["weight"]
+    missing = np.flatnonzero(np.isnan(weight))
+    if missing.size:
         raise DataFormatError(
-            f"{path}: expected {m}x{p}x{q} complete grid, got {len(triples)} rows"
+            f"{path}: row {missing[0] + 2}: weight is not a number"
         )
-    w12 = np.full((m, p, q), np.nan)
-    for s, i, j, weight in triples:
-        w12[s, i, j] = weight
+    query_names, qi = _first_appearance(pairs[:, 0])
+    other_names, oj = _first_appearance(pairs[:, 1])
+    m = int(sample.max()) + 1
+    p, q = len(query_names), len(other_names)
+    if sample.min() < 0 or sample.size != m * p * q:
+        raise DataFormatError(
+            f"{path}: expected {m}x{p}x{q} complete grid, got {sample.size} rows"
+        )
+    w12 = np.full(m * p * q, np.nan)
+    w12[(sample * p + qi) * q + oj] = weight
     if np.isnan(w12).any():
         raise DataFormatError(f"{path}: duplicate or missing (sample, edge) cells")
-    return query_names, other_names, w12
+    return query_names, other_names, w12.reshape(m, p, q)
 
 
 def read_kinds_csv(path: Path) -> dict[str, str]:

@@ -313,19 +313,22 @@ def sample_mgig(
         cur, converged = _cf_matrix(rng, nu, fa, fb, p, tol, max_iter)
 
     if invert:
+        # The factor that inverts the draw is its SPD check: the inverse of
+        # an SPD matrix is SPD, so it is not factored a second time.
         try:
             cur = chol_solve(cholesky(cur), np.eye(p))
             cur = (cur + cur.T) / 2.0
         except NotPositiveDefinite:
             converged = False
             cur = None
-
-    if converged:
+    elif converged:
         try:
             cholesky(cur)
-            return cur, False
         except NotPositiveDefinite:
-            pass
+            converged = False
+
+    if converged:
+        return cur, False
 
     if cur is None:
         cur = np.eye(p)

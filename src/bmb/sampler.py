@@ -46,8 +46,9 @@ logger = logging.getLogger(__name__)
 # inverse-Gaussian mean stays finite.
 _ABS_W_FLOOR = 1e-12
 
-# Ridge added to W12 (S22+I) W21 when it is numerically singular (always the
-# case right after initialization, where W12 = 0, and whenever q < p).
+# Ridge added to W12 (S22+I) W21 when it does not factor, which needs W12 of
+# rank below p: always when q < p, or a W12 = 0 from a caller.  A sweep
+# draws W12 before W11, so the chain's first W11 draw sees a non-zero W12.
 _B_RIDGE = 1e-12
 
 
@@ -320,9 +321,10 @@ def sample_w11(rng: RngStream, s11: np.ndarray,
     The conditional density is det(W11)^(n/2)
     exp(-tr((S11+I) W11 + B inv(W11)) / 2) with B = W12 (S22+I) W21, an
     MGIG law of order -n/2 - 1.  B is only positive semidefinite (rank at
-    most min(p, q), and exactly zero at initialization), so when it does
-    not factor, a tiny ridge keeps the parameterization valid without
-    visibly moving the draw.  :class:`MgigParams` symmetrizes and factors
+    most min(p, q), and zero when W12 is; a sweep draws W12 first, so the
+    chain's W12 is not zero here), so when it does not factor, a tiny
+    ridge keeps the parameterization valid without visibly moving the
+    draw.  :class:`MgigParams` symmetrizes and factors
     A and B once each, and factors B first, so a B that needs the ridge
     fails before A is factored.
 

@@ -11,18 +11,24 @@ Recovery is judged sign-aware: an inferred edge only counts as correct when
 the true weight is nonzero and the signs agree.  A wrong-sign inference is
 double-penalized (it is neither a true positive for precision nor for
 recall).
+
+The generators import the sampler's linear algebra and random streams when
+called, so thresholding and scoring (all that ``bmb evaluate`` needs) load
+neither scipy nor those modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, InsufficientSamples, InvalidParameter
-from .linalg import DataMatrix, SpdMatrix
-from .rng import RngStream
+
+if TYPE_CHECKING:
+    from .linalg import DataMatrix, SpdMatrix
+    from .rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,9 @@ def gen_precision(spec: GraphSpec, rng: RngStream | None = None) -> GroundTruth:
     is for a nonempty hollow symmetric matrix, so the result is SPD with a
     clear margin.
     """
+    from .linalg import SpdMatrix
+    from .rng import RngStream
+
     if rng is None:
         rng = RngStream(spec.seed)
     gen = rng.gen
@@ -160,6 +169,11 @@ def simulate_data(truth: GroundTruth, n: int,
     Columns are produced by back-solving the upper Cholesky factor of W
     against standard normals, so W is never inverted explicitly.
     """
+    from scipy.linalg import solve_triangular
+
+    from .linalg import DataMatrix
+    from .rng import RngStream
+
     if n < 1:
         raise InvalidParameter("n must be positive")
     if rng is None:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import logging
 import os
@@ -7,9 +8,12 @@ import sys
 import numpy as np
 import pytest
 
+import bmb
 import bmb.cli as cli
+import bmb.sampler
 from bmb.errors import NotPositiveDefinite
-from bmb.io import read_edges_csv, read_json, read_truth_csv
+from bmb.io import (read_edges_csv, read_json, read_truth_csv,
+                    write_edges_csv, write_truth_csv)
 
 
 def _run(*argv):
@@ -83,6 +87,8 @@ def test_fit_multiple_chains(sim_dir, tmp_path, monkeypatch):
               "--gamma", "10", "--burn-in", "2", "--samples", "4",
               "--seed", "5", "--chains", "2", "--out-dir", str(fit))
     assert rc == 0
+    assert sorted(f.name for f in fit.glob("edges*.csv")) == [
+        "edges_c0.csv", "edges_c1.csv"]
     _, _, c0 = read_edges_csv(fit / "edges_c0.csv")
     _, _, c1 = read_edges_csv(fit / "edges_c1.csv")
     assert not np.array_equal(c0, c1)
@@ -145,7 +151,8 @@ def test_exit_code_sampler_failure(sim_dir, tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise NotPositiveDefinite("synthetic failure")
 
-    monkeypatch.setattr(cli, "run_chain", boom)
+    # cli imports the sampler inside the chain worker, so patch it there.
+    monkeypatch.setattr(bmb.sampler, "run_chain", boom)
     assert _run("fit", "--data", str(sim_dir / "data.csv"), "--query", "v0",
                 "--out-dir", str(tmp_path / "o")) == 4
 
@@ -291,13 +298,38 @@ def test_kinds_binary_with_more_than_two_levels_exits_3(tmp_path, caplog):
     assert "'a' is declared binary but has 3 distinct observed values" in caplog.text
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs more to import than the rest of bmb together, and
-    # only fit-copula needs scipy.special.
-    code = ("import sys, bmb.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ,
-                                              PYTHONPATH=os.pathsep.join(sys.path)))
+def test_cli_import_skips_scipy_stats(tmp_path):
+    # scipy.stats costs more to import than the rest of bmb together, only
+    # fit-copula needs scipy.special, and only fit and simulate need
+    # scipy.linalg, so diagnose and evaluate load none of them.
+    g = np.random.default_rng(4)
+    write_edges_csv(tmp_path / "edges.csv", ["q0", "q1"], ["o0", "o1", "o2"],
+                    g.standard_normal((30, 2, 3)))
+    write_truth_csv(tmp_path / "truth.csv", ["q0", "q1"], ["o0", "o1", "o2"],
+                    np.array([[0.5, 0.0, 0.0], [0.0, -0.4, 0.0]]))
+    code = (
+        "import sys, bmb.cli\n"
+        "edges, out = sys.argv[1] + '/edges.csv', sys.argv[1]\n"
+        "assert bmb.cli.main(['evaluate', '--data', edges, '--truth', "
+        "out + '/truth.csv', '--out-dir', out + '/eval']) == 0\n"
+        "assert bmb.cli.main(['diagnose', '--data', edges, '--max-lag', '5', "
+        "'--out-dir', out + '/diag']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ,
+                                   PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "eval" / "score.json").is_file()
+    assert (tmp_path / "diag" / "diagnostics.csv").is_file()
+
+
+def test_package_names_resolve():
+    for name in bmb.__all__:
+        assert getattr(bmb, name) is not None
+    assert bmb.run_chain is bmb.sampler.run_chain
+    assert bmb.score is importlib.import_module("bmb.synthetic").score
+    with pytest.raises(AttributeError):
+        bmb.no_such_name
