@@ -10,15 +10,16 @@ MKL_NUM_THREADS to 1, because outputs may differ in the last bits between
 BLAS thread counts.  Every file written is compared with ``cmp``;
 ``manifest.json`` is compared with its ``wall_time`` values removed.
 
-The set: ``simulate`` (p = 3, q = 20, n = 200) and four fits of that data
-(thinned, two chains, ``--no-center``, and ``fit-copula`` on a copy with
-three recoded columns, 4% NA cells and ``--kinds``); a fit of a p = 1
-simulation, so the scalar continued fraction runs; a fit of a simulation
-with fewer observations than other variables, so the low-rank W12 draw
-runs; ``diagnose`` plus ``evaluate`` on every edges file; and two more
-``diagnose`` runs on the thinned fit's edges, with an explicit ``--edges``
-selection and with ``--edges none``, so ``traces.csv`` is written for a
-chosen set of edges and for none.
+The set: ``simulate`` (p = 3, q = 20, n = 200) and five fits of that data
+(thinned, two chains, ``--no-center``, and two ``fit-copula`` runs on a copy
+with three recoded columns, 4% NA cells and ``--kinds``, the second with two
+chains and ``--prior-df``); a fit of a p = 1 simulation, so the scalar
+continued fraction runs; a fit of a simulation with fewer observations
+than other variables, so the low-rank W12 draw runs; ``diagnose`` plus
+``evaluate`` on every edges file; and two more ``diagnose`` runs on the
+thinned fit's edges, with an explicit ``--edges`` selection and with
+``--edges none``, so ``traces.csv`` is written for a chosen set of edges
+and for none.
 
 Exits 0 when every file is identical, 1 when a file differs or exists in
 one run only, and 2 on a usage error or a failing command.
@@ -62,6 +63,9 @@ FITS = (
                               "--samples", "110", "--no-center"]),
     ("fit-copula", "mixed", ["fit-copula", *QUERY, *CHAIN, "--seed", "13",
                              "--samples", "110", "--inner-sweeps", "2"]),
+    ("fit-copula-chains", "mixed", ["fit-copula", *QUERY, *CHAIN,
+                                    "--seed", "37", "--samples", "110",
+                                    "--chains", "2", "--prior-df", "30"]),
     ("fit-wide", "sim-wide", ["fit", "--query", "v0,v1", *CHAIN,
                               "--seed", "29", "--samples", "110"]),
 )

@@ -26,12 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .diagnostics import (
-    ChainSeries,
-    autocorrelation,
-    effective_sample_size,
-    geweke_z,
-)
+from .diagnostics import ChainSeries, _acf_from, _autocov, _ess_from, geweke_z
 from .errors import (
     BmbError,
     ConstantSeries,
@@ -395,12 +390,14 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         for i, qname in enumerate(query_names):
             for j, oname in enumerate(other_names):
                 series = ChainSeries(w12[:, i, j], label=f"{qname}:{oname}")
+                # One transform serves the autocorrelations and the ESS.
+                acov = _autocov(series.values)
                 try:
-                    acf = fmt_floats(autocorrelation(series, eff_lag)[1:])
+                    acf = fmt_floats(_acf_from(acov, eff_lag)[1:])
                 except ConstantSeries:
                     acf = ["NA"] * eff_lag
                 try:
-                    ess = fmt_float(effective_sample_size(series))
+                    ess = fmt_float(_ess_from(acov))
                 except (SeriesTooShort, ConstantSeries):
                     ess = "NA"
                 try:

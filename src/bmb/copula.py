@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConstantVariable, DimensionMismatch, InvalidParameter
 from .linalg import (PartitionedCov, SpdMatrix, chol_inverse, cholesky,
                      split_query)
-from .rng import RngStream, sample_truncated_normal, _bartlett_lower
+from .rng import RngStream, _bartlett_lower, _truncnorm_flat
 from .sampler import (BlanketState, ChainConfig, ChainOutput, HyperParams,
                       _drive, build_structured_precision, gibbs_sweep)
 
@@ -81,7 +81,10 @@ class _VarLayout:
     neighbor groups' extremes), a group's bounds are always the max of the
     group just below and the min of the group just above. The per-parity
     arrays (even-indexed groups vs odd-indexed) are precomputed so a sweep
-    can redraw each parity class in one vectorized call.
+    can redraw each parity class in one vectorized call: the groups
+    (``parity_sel``), their cells (``parity_cells``), each cell's group
+    index (``parity_group``) and where each group starts among the cells
+    (``parity_starts``).
     """
 
     order: np.ndarray
@@ -89,7 +92,7 @@ class _VarLayout:
     sizes: np.ndarray
     parity_sel: tuple[np.ndarray, np.ndarray]
     parity_cells: tuple[np.ndarray, np.ndarray]
-    parity_sizes: tuple[np.ndarray, np.ndarray]
+    parity_group: tuple[np.ndarray, np.ndarray]
     parity_starts: tuple[np.ndarray, np.ndarray]
 
     @property
@@ -114,40 +117,37 @@ class RankBounds:
 
 
 def compute_bounds(table: MixedDataTable) -> RankBounds:
-    """Group each variable's observations by level, ascending."""
+    """Group each variable's observations by level, ascending.
+
+    One stable sort per variable: within a level, cells keep ascending
+    index order.
+    """
     missing = []
     layouts = []
-    for i in range(table.r):
-        row = table.values[i]
-        obs = ~np.isnan(row)
-        levels = np.unique(row[obs])
-        var_groups = tuple(
-            np.flatnonzero(obs & (row == level)) for level in levels
-        )
-        missing.append(np.flatnonzero(~obs))
-        sizes = np.array([g.size for g in var_groups], dtype=np.intp)
-        g_count = sizes.size
-        sels, cells, psizes, pstarts = [], [], [], []
+    for row in table.values:
+        nan = np.isnan(row)
+        obs = np.flatnonzero(~nan)
+        missing.append(np.flatnonzero(nan))
+        order = obs[np.argsort(row[obs], kind="stable")]
+        starts = np.unique(row[order], return_index=True)[1]
+        sizes = np.diff(starts, append=order.size)
+        group = np.repeat(np.arange(sizes.size), sizes)
+        sels, cells, groups, pstarts = [], [], [], []
         for parity in (0, 1):
-            sel = np.arange(parity, g_count, 2)
-            sz = sizes[sel]
+            sel = np.arange(parity, sizes.size, 2)
+            mine = group % 2 == parity
             sels.append(sel)
-            cells.append(
-                np.concatenate([var_groups[g] for g in sel]) if sel.size
-                else np.empty(0, dtype=np.intp)
-            )
-            psizes.append(sz)
-            pstarts.append(
-                np.concatenate([[0], np.cumsum(sz)[:-1]]).astype(np.intp)
-            )
+            cells.append(order[mine])
+            groups.append(group[mine])
+            pstarts.append(np.concatenate(
+                [[0], np.cumsum(sizes[sel])[:-1]]).astype(np.intp))
         layouts.append(_VarLayout(
-            order=(np.concatenate(var_groups) if var_groups
-                   else np.empty(0, dtype=np.intp)),
-            starts=np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp),
+            order=order,
+            starts=starts,
             sizes=sizes,
             parity_sel=(sels[0], sels[1]),
             parity_cells=(cells[0], cells[1]),
-            parity_sizes=(psizes[0], psizes[1]),
+            parity_group=(groups[0], groups[1]),
             parity_starts=(pstarts[0], pstarts[1]),
         ))
     return RankBounds(missing=tuple(missing), layouts=tuple(layouts))
@@ -188,39 +188,47 @@ def sample_latent(x: np.ndarray, sigma: SpdMatrix, bounds: RankBounds,
         raise DimensionMismatch("sigma dimension must match variable count")
     omega = chol_inverse(sigma.factor())
     p_mat = omega @ x
+    # Rows 0..i of p_mat are not read again in this sweep, so redrawing row
+    # i updates only the rows below it, through this buffer.
+    update = np.empty_like(x)
     for i in range(r):
+        row = x[i]
         w_ii = omega[i, i]
         cond_sd = float(np.sqrt(1.0 / w_ii))
-        mean = x[i] - p_mat[i] / w_ii
-        old_row = x[i].copy()
+        mean = row - p_mat[i] / w_ii
+        old_row = row.copy()
         layout = bounds.layouts[i]
         g_count = layout.n_groups
         if g_count:
-            vals = x[i][layout.order]
-            gmax = np.maximum.reduceat(vals, layout.starts)
-            gmin = np.minimum.reduceat(vals, layout.starts)
+            vals = row[layout.order]
+            # below[g] is the max of group g - 1 and above[g + 1] the min of
+            # group g + 1, with -inf and +inf past the ends.
+            below = np.empty(g_count + 1)
+            above = np.empty(g_count + 1)
+            below[0] = -np.inf
+            above[g_count] = np.inf
+            gmax, gmin, above_next = below[1:], above[:-1], above[1:]
+            np.maximum.reduceat(vals, layout.starts, out=gmax)
+            np.minimum.reduceat(vals, layout.starts, out=gmin)
             for parity in (0, 1):
                 sel = layout.parity_sel[parity]
                 if sel.size == 0:
                     continue
-                lo = np.where(sel > 0, gmax[np.maximum(sel - 1, 0)], -np.inf)
-                hi = np.where(sel < g_count - 1,
-                              gmin[np.minimum(sel + 1, g_count - 1)], np.inf)
                 cells = layout.parity_cells[parity]
-                sizes = layout.parity_sizes[parity]
-                draw = np.asarray(sample_truncated_normal(
-                    rng, mean[cells], cond_sd,
-                    np.repeat(lo, sizes), np.repeat(hi, sizes),
-                ))
-                x[i, cells] = draw
+                group = layout.parity_group[parity]
+                draw = _truncnorm_flat(rng, mean[cells], cond_sd,
+                                       below[group], above_next[group])
+                row[cells] = draw
                 gmax[sel] = np.maximum.reduceat(draw, layout.parity_starts[parity])
                 gmin[sel] = np.minimum.reduceat(draw, layout.parity_starts[parity])
         miss = bounds.missing[i]
         if miss.size:
-            x[i, miss] = mean[miss] + cond_sd * rng.gen.standard_normal(miss.size)
-        delta = x[i] - old_row
-        if np.any(delta != 0.0):
-            p_mat += np.outer(omega[:, i], delta)
+            row[miss] = mean[miss] + cond_sd * rng.gen.standard_normal(miss.size)
+        delta = row - old_row
+        if i + 1 < r and delta.any():
+            rows_below = update[: r - i - 1]
+            np.multiply.outer(omega[i + 1:, i], delta, out=rows_below)
+            p_mat[i + 1:] += rows_below
 
 
 @dataclass(frozen=True)

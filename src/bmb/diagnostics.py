@@ -58,28 +58,18 @@ def _autocov(x: np.ndarray) -> np.ndarray:
     return acov / n
 
 
-def autocorrelation(series, max_lag: int) -> np.ndarray:
-    """Sample autocorrelation at lags 0..max_lag, rho(0) = 1."""
-    x = _values(series)
-    if max_lag < 0:
-        raise InvalidParameter("max_lag must be nonnegative")
-    if max_lag >= x.size:
-        raise LagTooLarge(
-            f"max_lag {max_lag} must be below series length {x.size}"
-        )
-    acov = _autocov(x)
+def _acf_from(acov: np.ndarray, max_lag: int) -> np.ndarray:
+    """Autocorrelation at lags 0..max_lag from ``_autocov``'s output."""
     if acov[0] <= 0.0:
         raise ConstantSeries("zero variance, autocorrelation undefined")
     return acov[: max_lag + 1] / acov[0]
 
 
-def effective_sample_size(series) -> float:
-    """ESS with Geyer initial-positive-sequence truncation, in (0, N]."""
-    x = _values(series)
-    n = x.size
+def _ess_from(acov: np.ndarray) -> float:
+    """Geyer-truncated ESS from ``_autocov``'s output of an N-point series."""
+    n = acov.size
     if n < 10:
         raise SeriesTooShort(f"need at least 10 points for ESS, got {n}")
-    acov = _autocov(x)
     if acov[0] <= 0.0:
         raise ConstantSeries("zero variance, ESS undefined")
     rho = acov / acov[0]
@@ -94,6 +84,23 @@ def effective_sample_size(series) -> float:
         k += 2
     tau = 1.0 + 2.0 * tail
     return float(min(n, n / max(tau, 1e-12)))
+
+
+def autocorrelation(series, max_lag: int) -> np.ndarray:
+    """Sample autocorrelation at lags 0..max_lag, rho(0) = 1."""
+    x = _values(series)
+    if max_lag < 0:
+        raise InvalidParameter("max_lag must be nonnegative")
+    if max_lag >= x.size:
+        raise LagTooLarge(
+            f"max_lag {max_lag} must be below series length {x.size}"
+        )
+    return _acf_from(_autocov(x), max_lag)
+
+
+def effective_sample_size(series) -> float:
+    """ESS with Geyer initial-positive-sequence truncation, in (0, N]."""
+    return _ess_from(_autocov(_values(series)))
 
 
 def geweke_z(series, frac_a: float = 0.1, frac_b: float = 0.5) -> float:

@@ -385,73 +385,86 @@ def sample_truncated_normal(rng: RngStream, mu, sigma, lo, hi):
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    lo_in = np.asarray(lo, dtype=float)
-    hi_in = np.asarray(hi, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     if np.any(sigma <= 0):
         raise InvalidParameter("sigma must be positive")
-    if np.any(~(lo_in < hi_in)):
-        raise EmptyInterval("need lo < hi for every cell")
-    scalar = mu.ndim == 0 and sigma.ndim == 0 and lo_in.ndim == 0 and hi_in.ndim == 0
-    shape = np.broadcast_shapes(mu.shape, sigma.shape, lo_in.shape, hi_in.shape)
-    mu, sigma, lo_b, hi_b = np.broadcast_arrays(mu, sigma, lo_in, hi_in)
-    a = ((lo_b - mu) / sigma).ravel()
-    b = ((hi_b - mu) / sigma).ravel()
-    z = np.empty(a.shape)
-
-    flip = b <= 0
-    a_w = np.where(flip, -b, a)
-    b_w = np.where(flip, -a, b)
-
-    tail_free = (a_w >= _TAIL_Z) & np.isinf(b_w)
-    bounded = ~tail_free
-    if np.any(bounded):
-        z[bounded] = _truncnorm_inverse_cdf(rng, a_w[bounded], b_w[bounded])
-    if np.any(tail_free):
-        z[tail_free] = _robert_tail(rng, a_w[tail_free])
-    z = np.where(flip, -z, z)
-
-    x = mu.ravel() + sigma.ravel() * z
-    lo_open = np.nextafter(lo_b.ravel(), np.inf)
-    hi_open = np.nextafter(hi_b.ravel(), -np.inf)
-    x = np.clip(x, lo_open, hi_open)
-    x = x.reshape(shape)
+    scalar = mu.ndim == 0 and sigma.ndim == 0 and lo.ndim == 0 and hi.ndim == 0
+    mu, sigma, lo, hi = np.broadcast_arrays(mu, sigma, lo, hi)
+    x = _truncnorm_flat(rng, mu.ravel(), sigma.ravel(), lo.ravel(),
+                        hi.ravel()).reshape(mu.shape)
     if scalar:
         return float(x)
     return x
 
 
-def _truncnorm_inverse_cdf(rng: RngStream, a: np.ndarray, b: np.ndarray):
-    """Inverse-CDF draws on standardized intervals with a <= ... (b > 0)."""
+def _truncnorm_flat(rng: RngStream, mu: np.ndarray, sigma, lo: np.ndarray,
+                    hi: np.ndarray) -> np.ndarray:
+    """Truncated-normal draws on flat arrays; the sampling core.
+
+    ``mu``, ``lo`` and ``hi`` are 1-D arrays of one length and ``sigma`` is
+    a positive scalar or such an array; nothing is broadcast or reshaped.
+    Raises :class:`EmptyInterval` unless lo < hi in every cell, which also
+    rejects NaN bounds.  The bounded cells take one uniform each, then the
+    tail cells run Robert's rejection; the result is clipped strictly
+    inside (lo, hi).
+    """
+    if not (lo < hi).all():
+        raise EmptyInterval("need lo < hi for every cell")
+    a = (lo - mu) / sigma
+    b = (hi - mu) / sigma
+    # Intervals below the mean are drawn mirrored, as intervals above it.
+    flip = b <= 0
+    a_w = np.where(flip, -b, a)
+    b_w = np.where(flip, -a, b)
+    tail = (a_w >= _TAIL_Z) & np.isinf(b_w)
+    if tail.any():
+        bounded = ~tail
+        z = np.empty(a.shape)
+        if bounded.any():
+            z[bounded] = _truncnorm_inverse_cdf(rng, a_w[bounded],
+                                                b_w[bounded])
+        z[tail] = _robert_tail(rng, a_w[tail])
+    else:
+        z = _truncnorm_inverse_cdf(rng, a_w, b_w)
+    np.negative(z, out=z, where=flip)
+    x = mu + sigma * z
+    np.maximum(x, np.nextafter(lo, np.inf), out=x)
+    np.minimum(x, np.nextafter(hi, -np.inf), out=x)
+    return x
+
+
+def _truncnorm_inverse_cdf(rng: RngStream, a: np.ndarray,
+                           b: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws on standardized intervals (a, b) with b > 0.
+
+    Intervals with a >= 0 are drawn in upper-tail coordinates, the others
+    by the plain CDF; both formulas run over every cell and each cell keeps
+    its own.
+    """
     # Imported here so that commands other than fit-copula never load
     # scipy.special.
     from scipy.special import ndtr, ndtri
 
-    z = np.empty(a.shape)
     u = rng.gen.random(a.shape)
     right = a >= 0  # interval on one side: use upper-tail coordinates
-    if np.any(right):
-        ar, br = a[right], b[right]
-        qa = ndtr(-ar)
-        qb = np.where(np.isinf(br), 0.0, ndtr(-br))
-        degenerate = qa <= 0.0
-        mix = qb + u[right] * (qa - qb)
-        with np.errstate(divide="ignore"):
-            z_r = -ndtri(mix)
-        if np.any(degenerate):
-            # Beyond ~37 sigma the tail is numerically exponential.
-            ad, bd = ar[degenerate], br[degenerate]
-            ud = u[degenerate]
-            span = np.where(np.isinf(bd), np.inf, bd - ad)
-            cdf_top = np.where(np.isinf(span), 1.0, -np.expm1(-ad * span))
-            z_r[degenerate] = ad - np.log1p(-ud * cdf_top) / ad
-        z[right] = z_r
-    center = ~right
-    if np.any(center):
-        ac, bc = a[center], b[center]
-        pa = ndtr(ac)
-        pb = ndtr(bc)
-        z[center] = ndtri(pa + u[center] * (pb - pa))
-    return z
+    qa = ndtr(-a)
+    qb = ndtr(-b)  # exactly 0 for b = +inf
+    with np.errstate(divide="ignore"):
+        z_r = -ndtri(qb + u * (qa - qb))
+    degenerate = qa <= 0.0  # never for a < 0, where qa > 1/2
+    if degenerate.any():
+        # Beyond ~37 sigma the tail is numerically exponential.
+        ad, bd = a[degenerate], b[degenerate]
+        ud = u[degenerate]
+        span = np.where(np.isinf(bd), np.inf, bd - ad)
+        cdf_top = np.where(np.isinf(span), 1.0, -np.expm1(-ad * span))
+        z_r[degenerate] = ad - np.log1p(-ud * cdf_top) / ad
+    if right.all():
+        return z_r
+    pa = ndtr(a)
+    pb = ndtr(b)
+    return np.where(right, z_r, ndtri(pa + u * (pb - pa)))
 
 
 def _robert_tail(rng: RngStream, a: np.ndarray) -> np.ndarray:

@@ -22,7 +22,8 @@ from bmb.errors import (
 from bmb.linalg import SpdMatrix
 from bmb.rng import RngStream
 from bmb.sampler import ChainConfig, HyperParams
-from helpers import cell_bounds, satisfied_by
+from helpers import (cell_bounds, level_layout_oracle, make_spd,
+                     sample_latent_oracle, satisfied_by)
 
 
 def _table(values, names=None):
@@ -76,6 +77,45 @@ def test_bounds_missing_cell_unconstrained():
     assert lo[0, 1] == -np.inf and hi[0, 1] == np.inf
 
 
+def _mixed_values(g, n):
+    """Ties, a 0/1 column, one cell per level and about 5% NaN."""
+    z = g.standard_normal(n)
+    vals = np.vstack([
+        g.integers(0, 6, n).astype(float),
+        (z > 0.3).astype(float),
+        z + 0.2 * g.standard_normal(n),
+        np.round(g.standard_normal(n), 1),
+        g.integers(0, 40, n).astype(float),
+        np.where(g.random(n) < 0.5, 0.0, -0.0),  # one level
+        g.standard_normal(n),
+    ])
+    vals[5, ::3] = 1.0
+    vals[g.random(vals.shape) < 0.05] = np.nan
+    return vals
+
+
+def test_compute_bounds_matches_per_level_scan():
+    t = _table(_mixed_values(np.random.default_rng(31), 300))
+    bounds = compute_bounds(t)
+    for row, layout, miss in zip(t.values, bounds.layouts, bounds.missing):
+        order, starts, sizes = level_layout_oracle(row)
+        assert np.array_equal(layout.order, order)
+        assert np.array_equal(layout.starts, starts)
+        assert np.array_equal(layout.sizes, sizes)
+        assert np.array_equal(miss, np.flatnonzero(np.isnan(row)))
+        for parity in (0, 1):
+            sel = layout.parity_sel[parity]
+            assert np.array_equal(sel, np.arange(parity, sizes.size, 2))
+            groups = [order[starts[g]:starts[g] + sizes[g]] for g in sel]
+            assert np.array_equal(layout.parity_cells[parity],
+                                  np.concatenate(groups))
+            assert np.array_equal(layout.parity_group[parity],
+                                  np.repeat(sel, sizes[sel]))
+            assert np.array_equal(
+                layout.parity_starts[parity],
+                np.concatenate([[0], np.cumsum(sizes[sel])[:-1]]))
+
+
 def test_init_latent_normal_scores():
     t = _table([[1.0, 2.0, 3.0]])
     x = _init(t)
@@ -123,6 +163,27 @@ def test_sample_latent_keeps_bounds(rng):
     for _ in range(25):
         sample_latent(x, sigma, bounds, rng)
         assert satisfied_by(bounds, x)
+
+
+def test_sample_latent_matches_oracle_bitwise():
+    # Rows 1 and 2 correlate at 0.98, so the 0/1 row's conditional sd is
+    # small and its bounds sit several sd out.
+    g = np.random.default_rng(32)
+    t = _table(_mixed_values(g, 120))
+    bounds = compute_bounds(t)
+    c = make_spd(g, t.r, jitter=0.3)
+    c[1, 2] = c[2, 1] = 0.98 * np.sqrt(c[1, 1] * c[2, 2])
+    c += np.eye(t.r) * max(0.0, -np.linalg.eigvalsh(c)[0] + 0.05)
+    sigma = SpdMatrix(c)
+    x = init_latent(bounds, t.n)
+    x_ref = x.copy()
+    new_rng, ref_rng = RngStream(55), RngStream(55)
+    for _ in range(20):
+        sample_latent(x, sigma, bounds, new_rng)
+        sample_latent_oracle(x_ref, sigma, bounds, ref_rng)
+        assert np.array_equal(x, x_ref)
+        assert new_rng.gen.bit_generator.state == ref_rng.gen.bit_generator.state
+    assert satisfied_by(bounds, x)
 
 
 def test_sample_latent_identity_sigma_unit_conditionals(rng):

@@ -6,11 +6,12 @@ from bmb.errors import EmptyInterval, InvalidDegreesOfFreedom, InvalidParameter
 from bmb.rng import (
     RngStream,
     _bartlett_block,
+    _truncnorm_flat,
     sample_inverse_gaussian,
     sample_truncated_normal,
     sample_wishart,
 )
-from helpers import make_spd
+from helpers import make_spd, truncated_normal_oracle
 
 
 def test_stream_determinism():
@@ -104,3 +105,68 @@ def test_truncated_normal_input_validation(rng):
         sample_truncated_normal(rng, 0.0, 0.0, -1.0, 1.0)
     with pytest.raises(EmptyInterval):
         sample_truncated_normal(rng, 0.0, 1.0, 2.0, 2.0)
+
+
+# (mu, lo, hi) per case, sigma 1.5; each case alone and all in one call.
+_TRUNCNORM_CASES = {
+    "central": (0.3, np.array([-1.0, -0.5, -np.inf]), np.array([2.0, 0.4, 1.0])),
+    "above": (0.3, np.array([0.8, 1.5, 2.0]), np.array([np.inf, 4.0, 2.1])),
+    "below": (0.3, np.array([-np.inf, -4.0, -1.0]), np.array([-0.9, -2.0, 0.3])),
+    "tail": (0.3, np.array([7.0, 9.5, -np.inf, -np.inf]),
+             np.array([np.inf, np.inf, -6.5, -12.0])),
+    "far": (0.3, np.array([60.3, 60.3, -np.inf]), np.array([61.0, np.inf, -59.7])),
+}
+
+
+def _case_arrays(names):
+    lo = np.concatenate([_TRUNCNORM_CASES[n][1] for n in names])
+    hi = np.concatenate([_TRUNCNORM_CASES[n][2] for n in names])
+    mu = np.concatenate([np.full(_TRUNCNORM_CASES[n][1].size,
+                                 _TRUNCNORM_CASES[n][0]) for n in names])
+    return np.tile(mu, 40), np.tile(lo, 40), np.tile(hi, 40)
+
+
+@pytest.mark.parametrize("names", [[n] for n in _TRUNCNORM_CASES]
+                         + [list(_TRUNCNORM_CASES)])
+def test_truncated_normal_matches_oracle_bitwise(names):
+    # Same seed, same draws, same stream state afterwards, through the
+    # public function and through the flat kernel with a scalar sigma.
+    mu, lo, hi = _case_arrays(names)
+    ref_rng, pub_rng, flat_rng = RngStream(77), RngStream(77), RngStream(77)
+    ref = truncated_normal_oracle(ref_rng, mu, 1.5, lo, hi)
+    pub = sample_truncated_normal(pub_rng, mu, 1.5, lo, hi)
+    flat = _truncnorm_flat(flat_rng, mu, 1.5, lo, hi)
+    assert np.array_equal(pub, ref) and np.array_equal(flat, ref)
+    state = ref_rng.gen.bit_generator.state
+    assert pub_rng.gen.bit_generator.state == state
+    assert flat_rng.gen.bit_generator.state == state
+    assert np.all((ref > lo) & (ref < hi))
+    # A 2-D call with array sigma reshapes the same draws.
+    sig = np.full(mu.size, 1.5)
+    ref2 = truncated_normal_oracle(RngStream(5), mu.reshape(-1, 2), sig.reshape(-1, 2),
+                                   lo.reshape(-1, 2), hi.reshape(-1, 2))
+    pub2 = sample_truncated_normal(RngStream(5), mu.reshape(-1, 2), sig.reshape(-1, 2),
+                                   lo.reshape(-1, 2), hi.reshape(-1, 2))
+    assert pub2.shape == ref2.shape and np.array_equal(pub2, ref2)
+
+
+def test_truncated_normal_scalar_matches_oracle_bitwise():
+    ref_rng, pub_rng = RngStream(3), RngStream(3)
+    for lo, hi in ((-1.0, 1.0), (5.0, np.inf), (-np.inf, -45.0)):
+        ref = truncated_normal_oracle(ref_rng, 0.2, 0.7, lo, hi)
+        pub = sample_truncated_normal(pub_rng, 0.2, 0.7, lo, hi)
+        assert isinstance(pub, float) and pub == ref
+    assert pub_rng.gen.bit_generator.state == ref_rng.gen.bit_generator.state
+
+
+def test_truncnorm_flat_rejects_empty_and_nan_intervals(rng):
+    mu = np.zeros(3)
+    with pytest.raises(EmptyInterval):
+        _truncnorm_flat(rng, mu, 1.0, np.array([0.0, 1.0, 2.0]),
+                        np.array([1.0, 1.0, 3.0]))
+    with pytest.raises(EmptyInterval):
+        _truncnorm_flat(rng, mu, 1.0, np.array([0.0, np.nan, 2.0]),
+                        np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(EmptyInterval):
+        _truncnorm_flat(rng, mu, 1.0, np.array([0.0, 1.0, 2.0]),
+                        np.array([1.0, 2.0, np.nan]))
